@@ -4,8 +4,7 @@
 //!
 //! The experiment harness: shared workload builders and table printing for
 //! the binaries that regenerate every table and figure of the paper
-//! (see DESIGN.md §3 for the experiment index), plus the Criterion
-//! micro-benchmarks under `benches/`.
+//! (see DESIGN.md §3 for the experiment index).
 //!
 //! Run an experiment with e.g.
 //! `cargo run --release -p datacron-bench --bin exp_fig8`.

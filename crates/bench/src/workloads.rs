@@ -1,4 +1,4 @@
-//! Shared workload builders for the experiments and benches.
+//! Shared workload builders for the experiments.
 
 use datacron_data::aviation::{FlightGenerator, FlightPlan, FlightProfile, GeneratedFlight};
 use datacron_data::context::{AreaGenerator, PortGenerator, Region};

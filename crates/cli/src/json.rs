@@ -1,6 +1,6 @@
-//! Minimal JSON emission for the bench report — hand-rolled (the
+//! Minimal JSON emission for the run report — hand-rolled (the
 //! workspace is offline; no serde) and small because the report shape is
-//! fixed: objects, arrays, strings, numbers, booleans, null.
+//! fixed: objects, strings, numbers, booleans, null.
 
 use std::fmt::Write;
 
@@ -18,8 +18,6 @@ pub enum Value {
     Null,
     /// An ordered object.
     Object(Vec<(String, Value)>),
-    /// An array.
-    Array(Vec<Value>),
 }
 
 impl Value {
@@ -85,20 +83,6 @@ impl Value {
                 pad(out, indent);
                 out.push('}');
             }
-            Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                pad(out, indent);
-                out.push(']');
-            }
         }
     }
 }
@@ -121,7 +105,6 @@ mod tests {
             ("x", Value::Float(0.8125)),
             ("ok", Value::Bool(true)),
             ("none", Value::Null),
-            ("arr", Value::Array(vec![Value::Int(1), Value::Int(2)])),
             ("empty", Value::Object(vec![])),
         ]);
         let text = v.render();

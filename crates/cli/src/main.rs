@@ -7,18 +7,18 @@
 //!
 //! ```text
 //! datacron-cli check scenarios/smoke.scenario
-//! datacron-cli run scenarios/smoke.scenario --compare --json out.json
+//! datacron-cli run scenarios/smoke.scenario --json out.json
 //! ```
 //!
 //! Exit codes: `0` success, `1` scenario/file error, `2` usage error,
-//! `3` contract violation (digest mismatch or residency over budget).
+//! `3` contract violation (residency over budget).
 
 mod json;
 mod runner;
 
 use datacron_data::scenario::{ScenarioGenerator, ScenarioSpec};
 use json::Value;
-use runner::{ArmReport, RunReport};
+use runner::ArmReport;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -35,14 +35,12 @@ COMMANDS:
     run      Generate the fleet and stream it through the real-time layer.
 
 OPTIONS (run):
-    --compare         Also run the unbounded resident reference arm over
-                      the same input and require bit-identical digests.
     --budget N        Override the scenario's resident-entity budget
                       (0 = unbounded).
     --spill-dir DIR   Spill cold entities to one file per entity under
                       DIR (the directory tier) instead of memory.
     --chunk N         Ingest batch size (default 1024).
-    --json PATH       Write the machine-readable bench report to PATH.
+    --json PATH       Write the machine-readable run report to PATH.
 ";
 
 fn main() -> ExitCode {
@@ -110,7 +108,6 @@ fn check(args: &[String]) -> ExitCode {
 
 struct RunArgs {
     path: String,
-    compare: bool,
     budget_override: Option<Option<usize>>,
     spill_dir: Option<PathBuf>,
     chunk: usize,
@@ -120,7 +117,6 @@ struct RunArgs {
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut parsed = RunArgs {
         path: String::new(),
-        compare: false,
         budget_override: None,
         spill_dir: None,
         chunk: 1024,
@@ -132,7 +128,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--compare" => parsed.compare = true,
             "--budget" => {
                 let v = value_of("--budget", &mut it)?;
                 let n: usize = v.parse().map_err(|_| format!("--budget: bad value {v:?}"))?;
@@ -177,39 +172,30 @@ fn run(args: &[String]) -> ExitCode {
     let budget = parsed.budget_override.unwrap_or(spec.budget);
     let estimate = ScenarioGenerator::new(spec.clone()).spec().max_reports();
     eprintln!(
-        "running `{}`: {} entities, <= {} reports, budget {}{}",
+        "running `{}`: {} entities, <= {} reports, budget {}",
         spec.name,
         spec.entities(),
         estimate,
         budget.map_or("unbounded".to_string(), |b| b.to_string()),
-        if parsed.compare { ", compare on" } else { "" },
     );
-    let report = runner::run_scenario(&spec, budget, parsed.spill_dir.clone(), parsed.chunk, parsed.compare);
+    let arm = runner::run_scenario(&spec, budget, parsed.spill_dir.clone(), parsed.chunk);
 
-    for arm in &report.arms {
-        eprintln!(
-            "  {:>9}: {} reports in {:.2} s ({:.0} rec/s), {} accepted, {} dead-lettered, \
-             max resident {}, evictions {}, rehydrations {}",
-            arm.label,
-            arm.reports,
-            arm.elapsed_ns as f64 / 1e9,
-            arm.records_per_sec,
-            arm.accepted,
-            arm.dead_lettered,
-            arm.max_resident,
-            arm.spill.evictions,
-            arm.spill.rehydrations,
-        );
-    }
-    if let Some(matched) = report.digests_match {
-        eprintln!("  digests {}", if matched { "match" } else { "DIVERGED" });
-    }
-    if let Some(ratio) = report.throughput_ratio {
-        eprintln!("  budgeted throughput {:.2}x the resident reference", ratio);
-    }
+    eprintln!(
+        "  {:>9}: {} reports in {:.2} s ({:.0} rec/s), {} accepted, {} dead-lettered, \
+         max resident {}, evictions {}, rehydrations {}",
+        arm.label,
+        arm.reports,
+        arm.elapsed_ns as f64 / 1e9,
+        arm.records_per_sec,
+        arm.accepted,
+        arm.dead_lettered,
+        arm.max_resident,
+        arm.spill.evictions,
+        arm.spill.rehydrations,
+    );
 
     if let Some(path) = &parsed.json_out {
-        let rendered = render_report(&report, parsed.chunk).render();
+        let rendered = render_report(&spec, &arm, parsed.chunk).render();
         if let Err(e) = std::fs::write(path, rendered) {
             eprintln!("error: writing {}: {e}", path.display());
             return ExitCode::FAILURE;
@@ -217,8 +203,8 @@ fn run(args: &[String]) -> ExitCode {
         eprintln!("  report written to {}", path.display());
     }
 
-    if !report.contracts_hold() {
-        eprintln!("CONTRACT VIOLATION: see report above");
+    if !arm.budget_respected {
+        eprintln!("CONTRACT VIOLATION: residency exceeded the budget, see report above");
         return ExitCode::from(3);
     }
     ExitCode::SUCCESS
@@ -226,7 +212,7 @@ fn run(args: &[String]) -> ExitCode {
 
 fn arm_json(arm: &ArmReport) -> Value {
     Value::object(vec![
-        ("label", Value::Str(arm.label.clone())),
+        ("label", Value::Str(arm.label.into())),
         ("budget", arm.budget.map_or(Value::Null, |b| Value::Int(b as i128))),
         ("reports", Value::Int(arm.reports as i128)),
         ("elapsed_ms", Value::Float(arm.elapsed_ns as f64 / 1e6)),
@@ -255,8 +241,7 @@ fn arm_json(arm: &ArmReport) -> Value {
     ])
 }
 
-fn render_report(report: &RunReport, chunk: usize) -> Value {
-    let spec = &report.spec;
+fn render_report(spec: &ScenarioSpec, arm: &ArmReport, chunk: usize) -> Value {
     let now_ms = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as i128)
@@ -272,15 +257,6 @@ fn render_report(report: &RunReport, chunk: usize) -> Value {
         ("waves", Value::Int(spec.waves as i128)),
         ("rounds", Value::Int(spec.rounds as i128)),
         ("chunk", Value::Int(chunk as i128)),
-        ("arms", Value::Array(report.arms.iter().map(arm_json).collect())),
-        (
-            "digests_match",
-            report.digests_match.map_or(Value::Null, Value::Bool),
-        ),
-        (
-            "throughput_ratio",
-            report.throughput_ratio.map_or(Value::Null, Value::Float),
-        ),
-        ("contracts_hold", Value::Bool(report.contracts_hold())),
+        ("arm", arm_json(arm)),
     ])
 }

@@ -3,13 +3,14 @@
 //! comparable digest plus count aggregates.
 //!
 //! The runner's job is the spill contract at fleet scale: a budgeted arm
-//! (resident-entity budget + optional directory spill tier) and an
-//! unbounded reference arm over byte-identical input must produce the
-//! same digest — per-record outputs, end-of-stream flush, health and
-//! every count-typed metric — while the budgeted arm's residency never
-//! exceeds its budget. Digests are FNV-1a over `Debug` formatting, the
-//! same bit-faithful comparison the equivalence test suites use, but
-//! streamed so million-entity runs never hold output text in memory.
+//! (resident-entity budget + optional directory spill tier) never holds
+//! more entities resident than its budget, and produces the same digest
+//! — per-record outputs, end-of-stream flush, health and every
+//! count-typed metric — as an unbounded arm over byte-identical input
+//! (the unit tests below run both). Digests are FNV-1a over `Debug`
+//! formatting, the same bit-faithful comparison the equivalence test
+//! suites use, but streamed so million-entity runs never hold output
+//! text in memory.
 
 use datacron_core::spill::SpillStats;
 use datacron_core::{DatacronConfig, RealTimeLayer};
@@ -52,8 +53,8 @@ impl fmt::Write for Digest {
 /// Everything measured about one arm of a scenario run.
 #[derive(Debug, Clone)]
 pub struct ArmReport {
-    /// `"budgeted"` or `"resident"`.
-    pub label: String,
+    /// `"budgeted"` when the arm ran under a budget, else `"resident"`.
+    pub label: &'static str,
     /// Resident-entity budget the arm ran with (`None` = unbounded).
     pub budget: Option<usize>,
     /// Records ingested.
@@ -87,32 +88,21 @@ pub struct ArmReport {
     pub spill: SpillStats,
 }
 
-/// A completed scenario run: the budgeted arm, plus the unbounded
-/// reference arm when comparison was requested.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The executed spec.
-    pub spec: ScenarioSpec,
-    /// The arms, in execution order.
-    pub arms: Vec<ArmReport>,
-    /// `Some(true)` when two arms ran and their digests matched.
-    pub digests_match: Option<bool>,
-    /// Budgeted throughput over reference throughput, when both ran.
-    pub throughput_ratio: Option<f64>,
-}
+/// The layer one arm runs on. Its monitoring context is derived from the
+/// scenario extent — two protected areas in the interior and two ports on
+/// the mid-latitude line — so area events and link discovery do real work
+/// in every run.
+fn layer(spec: &ScenarioSpec, budget: Option<usize>, spill_dir: Option<PathBuf>) -> RealTimeLayer {
+    // Mixed fleets run under aviation cleaning thresholds (which admit
+    // slow movers); a pure-vessel scenario keeps the maritime profile.
+    let mut config = if spec.aircraft > 0 {
+        DatacronConfig::aviation(spec.extent)
+    } else {
+        DatacronConfig::maritime(spec.extent)
+    };
+    config.max_resident_entities = budget;
+    config.spill_dir = spill_dir;
 
-impl RunReport {
-    /// `true` when every contract the run could check held: residency
-    /// within budget, and (when compared) bit-identical digests.
-    pub fn contracts_hold(&self) -> bool {
-        self.arms.iter().all(|a| a.budget_respected) && self.digests_match != Some(false)
-    }
-}
-
-/// Deterministic monitoring context derived from the scenario extent: two
-/// protected areas in the interior and two ports on the mid-latitude
-/// line, so area events and link discovery do real work in every run.
-fn context(spec: &ScenarioSpec) -> (Vec<(u64, Polygon)>, Vec<(u64, GeoPoint)>) {
     let e = &spec.extent;
     let (w, h) = (e.max_lon - e.min_lon, e.max_lat - e.min_lat);
     let rect = |lon0: f64, lat0: f64, lon1: f64, lat1: f64| {
@@ -127,37 +117,21 @@ fn context(spec: &ScenarioSpec) -> (Vec<(u64, Polygon)>, Vec<(u64, GeoPoint)>) {
         (1u64, GeoPoint::new(e.min_lon + 0.25 * w, mid)),
         (2u64, GeoPoint::new(e.min_lon + 0.75 * w, mid)),
     ];
-    (regions, ports)
-}
-
-fn config(spec: &ScenarioSpec, budget: Option<usize>, spill_dir: Option<PathBuf>) -> DatacronConfig {
-    // Mixed fleets run under aviation cleaning thresholds (which admit
-    // slow movers); a pure-vessel scenario keeps the maritime profile.
-    let mut config = if spec.aircraft > 0 {
-        DatacronConfig::aviation(spec.extent)
-    } else {
-        DatacronConfig::maritime(spec.extent)
-    };
-    config.max_resident_entities = budget;
-    config.spill_dir = spill_dir;
-    config
+    RealTimeLayer::new(config, regions, ports)
 }
 
 /// Runs one arm of a scenario over pre-materialised input.
 ///
 /// Only the `ingest_batch` calls are timed; digesting, residency checks
-/// and recycling happen between timed sections, so the budgeted/resident
-/// throughput ratio measures the spill tier, not the bookkeeping.
+/// and recycling happen between timed sections.
 pub fn run_arm(
     spec: &ScenarioSpec,
     input: &[PositionReport],
-    label: &str,
     budget: Option<usize>,
     spill_dir: Option<PathBuf>,
     chunk: usize,
 ) -> ArmReport {
-    let (regions, ports) = context(spec);
-    let mut layer = RealTimeLayer::new(config(spec, budget, spill_dir), regions, ports);
+    let mut layer = layer(spec, budget, spill_dir);
     let mut digest = Digest::new();
     let mut elapsed_ns: u128 = 0;
     let (mut accepted, mut dead_lettered) = (0u64, 0u64);
@@ -191,7 +165,7 @@ pub fn run_arm(
     digest.absorb(&layer.metrics_snapshot().counters_only());
     let elapsed = elapsed_ns.max(1);
     ArmReport {
-        label: label.to_string(),
+        label: if budget.is_some() { "budgeted" } else { "resident" },
         budget,
         reports: input.len() as u64,
         elapsed_ns,
@@ -210,31 +184,15 @@ pub fn run_arm(
     }
 }
 
-/// Executes a scenario: generates the input once, runs the budgeted arm,
-/// and — when `compare` — the unbounded reference arm over the same
-/// bytes.
+/// Executes a scenario: generates the input and runs one arm over it.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     budget: Option<usize>,
     spill_dir: Option<PathBuf>,
     chunk: usize,
-    compare: bool,
-) -> RunReport {
+) -> ArmReport {
     let input = ScenarioGenerator::new(spec.clone()).collect_reports();
-    let mut arms = Vec::new();
-    let label = if budget.is_some() { "budgeted" } else { "resident" };
-    arms.push(run_arm(spec, &input, label, budget, spill_dir, chunk));
-    if compare && budget.is_some() {
-        arms.push(run_arm(spec, &input, "resident", None, None, chunk));
-    }
-    let (digests_match, throughput_ratio) = match arms.as_slice() {
-        [a, b] => (
-            Some(a.digest == b.digest),
-            Some(a.records_per_sec / b.records_per_sec),
-        ),
-        _ => (None, None),
-    };
-    RunReport { spec: spec.clone(), arms, digests_match, throughput_ratio }
+    run_arm(spec, &input, budget, spill_dir, chunk)
 }
 
 #[cfg(test)]
@@ -259,31 +217,31 @@ budget = 20
 
     #[test]
     fn budgeted_arm_is_bit_identical_to_the_resident_reference() {
-        let spec = ScenarioSpec::parse(SPEC).expect("spec parses");
-        let report = run_scenario(&spec, spec.budget, None, 173, true);
-        assert_eq!(report.arms.len(), 2);
-        let budgeted = &report.arms[0];
-        let resident = &report.arms[1];
-        assert_eq!(report.digests_match, Some(true), "{budgeted:?}\nvs\n{resident:?}");
-        assert!(budgeted.budget_respected, "max resident {}", budgeted.max_resident);
-        assert!(budgeted.max_resident <= 20);
-        assert!(budgeted.spill.evictions > 0, "budget 20 over 64 entities must evict");
-        assert!(budgeted.spill.rehydrations > 0, "round 2 must rehydrate");
-        assert_eq!(resident.spill.evictions, 0);
-        assert_eq!(budgeted.entities, resident.entities);
-        assert_eq!(
-            (budgeted.accepted, budgeted.critical_points, budgeted.triples),
-            (resident.accepted, resident.critical_points, resident.triples)
-        );
-        assert!(report.contracts_hold());
+        // The inline spec, and the committed smoke scenario CI runs.
+        for text in [SPEC, include_str!("../../../scenarios/smoke.scenario")] {
+            let spec = ScenarioSpec::parse(text).expect("spec parses");
+            let input = ScenarioGenerator::new(spec.clone()).collect_reports();
+            let budgeted = run_arm(&spec, &input, spec.budget, None, 173);
+            let resident = run_arm(&spec, &input, None, None, 173);
+            assert_eq!(budgeted.digest, resident.digest, "{budgeted:?}\nvs\n{resident:?}");
+            assert!(budgeted.budget_respected, "max resident {}", budgeted.max_resident);
+            assert!(budgeted.spill.evictions > 0, "{}: a budget below the fleet must evict", spec.name);
+            assert!(budgeted.spill.rehydrations > 0, "{}: later rounds must rehydrate", spec.name);
+            assert_eq!(resident.spill.evictions, 0);
+            assert_eq!(budgeted.entities, resident.entities);
+            assert_eq!(
+                (budgeted.accepted, budgeted.critical_points, budgeted.triples),
+                (resident.accepted, resident.critical_points, resident.triples)
+            );
+        }
     }
 
     #[test]
     fn chunk_size_does_not_change_the_digest() {
         let spec = ScenarioSpec::parse(SPEC).expect("spec parses");
         let input = ScenarioGenerator::new(spec.clone()).collect_reports();
-        let a = run_arm(&spec, &input, "budgeted", spec.budget, None, 64);
-        let b = run_arm(&spec, &input, "budgeted", spec.budget, None, 4096);
+        let a = run_arm(&spec, &input, spec.budget, None, 64);
+        let b = run_arm(&spec, &input, spec.budget, None, 4096);
         assert_eq!(a.digest, b.digest);
     }
 
@@ -292,8 +250,8 @@ budget = 20
         let spec = ScenarioSpec::parse(SPEC).expect("spec parses");
         let dir = std::env::temp_dir().join(format!("datacron-cli-test-{}", std::process::id()));
         let input = ScenarioGenerator::new(spec.clone()).collect_reports();
-        let mem = run_arm(&spec, &input, "budgeted", spec.budget, None, 173);
-        let disk = run_arm(&spec, &input, "budgeted", spec.budget, Some(dir.clone()), 173);
+        let mem = run_arm(&spec, &input, spec.budget, None, 173);
+        let disk = run_arm(&spec, &input, spec.budget, Some(dir.clone()), 173);
         assert_eq!(mem.digest, disk.digest);
         assert_eq!(disk.spill.disk_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);

@@ -44,12 +44,6 @@ pub struct DatacronConfig {
     /// When `false` the registry is disabled and every instrument is a
     /// detached no-op, so the hot path pays nothing.
     pub metrics: bool,
-    /// Stage-latency sampling period: every Nth ingested record is timed
-    /// through the per-stage histograms (`stage.*_ns`). `1` times every
-    /// record (profiling), `0` disables stage timing entirely; counters and
-    /// gauges are unaffected. Powers of two sample via a mask, other
-    /// periods via a modulo.
-    pub stage_sample_every: u64,
     /// Resident-entity budget of the real-time layer. When the number of
     /// entities with live operator state exceeds this, the idlest (by
     /// `last_seen` event time) are spilled to the cold tier
@@ -82,7 +76,6 @@ impl DatacronConfig {
             flp_window: 12,
             supervision: SupervisionConfig::default(),
             metrics: true,
-            stage_sample_every: 64,
             max_resident_entities: None,
             spill_dir: None,
         }
@@ -102,7 +95,6 @@ impl DatacronConfig {
             flp_window: 12,
             supervision: SupervisionConfig::default(),
             metrics: true,
-            stage_sample_every: 64,
             max_resident_entities: None,
             spill_dir: None,
         }

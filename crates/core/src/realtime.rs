@@ -244,49 +244,18 @@ type Symbolizer = Arc<dyn Fn(&CriticalPoint) -> Option<u8> + Send + Sync>;
 /// the chain. May panic; supervision contains the blast radius.
 type EntityStage = Arc<dyn Fn(&PositionReport) + Send + Sync>;
 
-/// How the chain decides which records are timed into the `stage.*_ns`
-/// latency histograms, precompiled from
-/// [`DatacronConfig::stage_sample_every`] so the per-record test is one
-/// mask (power-of-two periods), one modulo (other periods) or nothing.
-/// Counters are exact and unsampled regardless.
-#[derive(Debug, Clone, Copy)]
-enum StageSampling {
-    /// Stage timing disabled (`stage_sample_every == 0`).
-    Never,
-    /// Power-of-two period `m + 1`, tested with a mask.
-    Mask(u64),
-    /// Arbitrary period, tested with a modulo.
-    Every(u64),
-}
-
-impl StageSampling {
-    fn from_period(every: u64) -> Self {
-        match every {
-            0 => Self::Never,
-            n if n.is_power_of_two() => Self::Mask(n - 1),
-            n => Self::Every(n),
-        }
-    }
-
-    /// Whether the record with this (1-based) ingest tick is sampled.
-    #[inline]
-    fn sample(self, tick: u64) -> bool {
-        match self {
-            Self::Never => false,
-            Self::Mask(mask) => tick & mask == 0,
-            Self::Every(n) => tick.is_multiple_of(n),
-        }
-    }
-}
+/// Every 64th ingested record (`tick & STAGE_SAMPLE_MASK == 0`) is timed
+/// into the `stage.*_ns` latency histograms. Counters are exact and
+/// unsampled regardless.
+const STAGE_SAMPLE_MASK: u64 = 63;
 
 /// Pre-resolved instrument handles for the ingest hot path. Counters are
 /// exact (bumped on every record — a relaxed atomic add, or nothing when
 /// the registry is disabled); stage-latency histograms are fed from a
-/// sampled subset of records ([`StageSampling`], default one in 64) so the
+/// sampled subset of records ([`STAGE_SAMPLE_MASK`], one in 64) so the
 /// steady state never pays two clock reads per stage per record.
 struct LayerMetrics {
     enabled: bool,
-    sampling: StageSampling,
     records: Counter,
     accepted: Counter,
     dead_lettered: Counter,
@@ -312,10 +281,9 @@ struct LayerMetrics {
 }
 
 impl LayerMetrics {
-    fn new(obs: &ObsRegistry, stage_sample_every: u64) -> Self {
+    fn new(obs: &ObsRegistry) -> Self {
         Self {
             enabled: obs.is_enabled(),
-            sampling: StageSampling::from_period(stage_sample_every),
             records: obs.counter("ingest.records"),
             accepted: obs.counter("ingest.accepted"),
             dead_lettered: obs.counter("ingest.dead_lettered"),
@@ -509,7 +477,7 @@ pub struct RealTimeLayer {
     /// Pre-resolved hot-path instrument handles.
     metrics: LayerMetrics,
     /// Records ingested, for the stage-latency sample
-    /// ([`DatacronConfig::stage_sample_every`]). Not part of the durable
+    /// ([`STAGE_SAMPLE_MASK`]). Not part of the durable
     /// state: sampling only shapes timing histograms, never outputs.
     metric_ticks: u64,
     // --- topics ---
@@ -547,7 +515,7 @@ impl RealTimeLayer {
         } else {
             ObsRegistry::disabled()
         };
-        let metrics = LayerMetrics::new(&obs, config.stage_sample_every);
+        let metrics = LayerMetrics::new(&obs);
         Self {
             monitor,
             linker,
@@ -664,7 +632,7 @@ impl RealTimeLayer {
             self.metrics.records.inc();
         }
         self.metric_ticks += 1;
-        let timed = self.metrics.enabled && self.metrics.sampling.sample(self.metric_ticks);
+        let timed = self.metrics.enabled && self.metric_ticks & STAGE_SAMPLE_MASK == 0;
         let t0 = timed.then(Instant::now);
         let out = self.ingest_inner(report, timed);
         self.maybe_spill();
@@ -1456,7 +1424,7 @@ fn revive_pooled(
     let cep = match (cep_template, &ckpt.cep) {
         (Some(template), Some(ws)) => {
             let mut engine = template.clone();
-            engine.restore_online_state(ws.clone());
+            engine.restore_online_state(*ws);
             Some(engine)
         }
         _ => None,

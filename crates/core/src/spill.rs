@@ -102,7 +102,7 @@ const SLAB_SEGMENT_BYTES: usize = 1 << 20;
 
 /// The size class of a `len`-byte blob (1-based; class × granule = cell).
 fn blob_class(len: usize) -> usize {
-    ((len + SLAB_GRANULE - 1) / SLAB_GRANULE).max(1)
+    len.div_ceil(SLAB_GRANULE).max(1)
 }
 
 /// Handle to a blob in the [`BlobSlab`]: its cell index within its size

@@ -262,6 +262,19 @@ mod tests {
         assert!(j1.contains("\"ingest.records\": 100"));
         assert!(j1.contains("\"queue.depth\": -2"));
         assert!(j1.contains("\"count\": 2"));
+        // A histogram is one line: its name plus exactly these eight keys.
+        let hist = j1.lines().find(|l| l.contains("\"stage.clean_ns\"")).expect("histogram line");
+        for key in ["count", "sum", "min", "max", "mean", "p50", "p90", "p99"] {
+            assert!(hist.contains(&format!("\"{key}\": ")), "missing {key} in {hist}");
+        }
+        assert_eq!(hist.matches("\": ").count(), 9, "unexpected key in {hist}");
+        // A histogram nothing was recorded into is omitted, so every
+        // exported `count` is >= 1 and the quantiles are real samples.
+        let registry = crate::ObsRegistry::new();
+        let _unused = registry.histogram("never.recorded");
+        registry.histogram("stage.clean_ns").record(10);
+        let j3 = registry.snapshot().to_json();
+        assert!(j3.contains("\"stage.clean_ns\"") && !j3.contains("never.recorded"), "{j3}");
         // Balanced braces: crude structural check without a JSON parser.
         assert_eq!(
             j1.matches('{').count(),

@@ -157,8 +157,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// Spin-assisted pacing (as in `bench_throughput`): sleep the bulk, spin
-/// the last stretch.
+/// Spin-assisted pacing: sleep the bulk, spin the last stretch.
 fn pace_until(deadline: Instant) {
     loop {
         let now = Instant::now();

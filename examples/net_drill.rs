@@ -13,10 +13,6 @@
 //! cargo run --release --example net_drill -- \
 //!     --mode send --addr 127.0.0.1:47171 [--seed 7] [--records 12000] \
 //!     [--kill-every 997]
-//!
-//! # loopback throughput smoke; writes bench JSON
-//! cargo run --release --example net_drill -- \
-//!     --mode bench [--records 50000] [--out BENCH_net.json]
 //! ```
 //!
 //! Equivalence check: `send` prints `sent_digest` (over the records it
@@ -42,7 +38,6 @@ struct Args {
     seed: u64,
     records: usize,
     kill_every: u64,
-    out: Option<String>,
 }
 
 impl Args {
@@ -53,7 +48,6 @@ impl Args {
             seed: 7,
             records: 12_000,
             kill_every: 997,
-            out: None,
         };
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -68,14 +62,13 @@ impl Args {
                 "--seed" => args.seed = value(&mut i).parse().expect("--seed"),
                 "--records" => args.records = value(&mut i).parse().expect("--records"),
                 "--kill-every" => args.kill_every = value(&mut i).parse().expect("--kill-every"),
-                "--out" => args.out = Some(value(&mut i)),
                 other => panic!("unknown argument {other}"),
             }
             i += 1;
         }
         assert!(
-            matches!(args.mode.as_str(), "serve" | "send" | "bench"),
-            "--mode must be serve | send | bench"
+            matches!(args.mode.as_str(), "serve" | "send"),
+            "--mode must be serve | send"
         );
         args
     }
@@ -240,76 +233,11 @@ fn send(args: &Args) {
     println!("pipeline_digest: {}", pipeline.hex());
 }
 
-/// Loopback throughput smoke: client and server in one process over a real
-/// socket, no fault proxy. Latency is per-record `send` time (serialise +
-/// write + any backpressure), which is the cost ingestion actually pays.
-fn bench(args: &Args) {
-    let records = input(args.seed, args.records);
-    let obs = ObsRegistry::new();
-    let topic: Arc<Topic<PositionReport>> = Topic::new("net.bench");
-    let mut consumer = topic.consumer();
-    let server =
-        NetServer::bind("127.0.0.1:0", ServerConfig::default(), Arc::clone(&topic), &obs)
-            .expect("server binds");
-    let mut client = NetClient::connect(
-        ClientConfig::new(server.local_addr().to_string(), args.seed),
-        &obs,
-    )
-    .expect("client connects");
-
-    let started = Instant::now();
-    let mut send_us: Vec<u64> = Vec::with_capacity(records.len());
-    for r in &records {
-        let t = Instant::now();
-        client.send(*r).expect("loopback send");
-        send_us.push(t.elapsed().as_micros() as u64);
-    }
-    let stats = client.finish().expect("loopback finish");
-    let elapsed = started.elapsed();
-
-    let received = consumer.drain().expect("unbounded topic never lags");
-    assert_eq!(received.len(), records.len(), "loopback must deliver exactly once");
-    server.shutdown();
-
-    send_us.sort_unstable();
-    let pct = |p: f64| send_us[((send_us.len() - 1) as f64 * p) as usize];
-    let n = records.len();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"net_loopback\",\n",
-            "  \"seed\": {},\n",
-            "  \"records\": {},\n",
-            "  \"records_per_sec\": {:.1},\n",
-            "  \"elapsed_ms\": {:.3},\n",
-            "  \"latency_us\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n",
-            "  \"acked\": {},\n",
-            "  \"reconnects\": {}\n",
-            "}}"
-        ),
-        args.seed,
-        n,
-        n as f64 / elapsed.as_secs_f64(),
-        elapsed.as_secs_f64() * 1e3,
-        pct(0.50),
-        pct(0.99),
-        send_us[send_us.len() - 1],
-        stats.acked,
-        stats.reconnects,
-    );
-    println!("{json}");
-    if let Some(path) = &args.out {
-        std::fs::write(path, format!("{json}\n")).expect("write bench JSON");
-        println!("wrote {path}");
-    }
-}
-
 fn main() {
     let args = Args::parse();
     match args.mode.as_str() {
         "serve" => serve(&args),
         "send" => send(&args),
-        "bench" => bench(&args),
         _ => unreachable!(),
     }
 }
