@@ -49,7 +49,7 @@ use std::time::Instant;
 /// Configuration of the live KG subsystem.
 #[derive(Debug, Clone)]
 pub struct LiveKgConfig {
-    /// Store configuration (layout, partitions).
+    /// Store configuration; the live store reads only `partitions`.
     pub store: StoreConfig,
     /// Capacity of each attached `triples` topic. Publishes block when a
     /// topic is full ([`OverflowPolicy::Block`]); sized so that the
@@ -225,11 +225,11 @@ impl LiveKg {
     /// [`LiveStore::subscribe`]); matches arrive on the returned handle's
     /// bounded topic.
     pub fn subscribe(&self, query: StarQuery) -> SubscriptionHandle {
-        let before = self.store.stats().matches_emitted;
         let handle = self.store.subscribe(query, self.config.match_capacity);
-        let backfilled = self.store.stats().matches_emitted - before;
         self.metrics.subscriptions.inc();
-        self.metrics.matches_emitted.add(backfilled);
+        // Counted by the store under its writer lock: two `stats()` reads
+        // here would also count what a concurrent `drain` emits (and counts).
+        self.metrics.matches_emitted.add(handle.backfilled);
         handle
     }
 

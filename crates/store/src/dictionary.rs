@@ -16,17 +16,18 @@
 //! no dictionary lookup. Exact positions are also retained for final
 //! refinement.
 
+use datacron_geo::hash::FxHashMap;
 use datacron_geo::stcell::IdRange;
 use datacron_geo::{GeoPoint, StCellEncoder, StCellId, Timestamp};
 use datacron_rdf::term::Term;
-use datacron_geo::hash::FxHashMap;
 use std::collections::HashMap;
 
 /// A dictionary-encoded term identifier.
 pub type TermId = u64;
 
-/// An encoded triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// An encoded triple. Ordered by `(s, p, o)` — the sort key of the live
+/// store's runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EncodedTriple {
     /// Subject id.
     pub s: TermId,
@@ -46,13 +47,17 @@ const CELL_LIMIT: u64 = 1 << (63 - SEQ_BITS);
 #[derive(Debug)]
 pub struct Dictionary {
     encoder: StCellEncoder,
-    term_to_id: HashMap<Term, TermId>,
-    id_to_term: FxHashMap<TermId, Term>,
-    next_plain: TermId,
+    /// Keyed with the in-tree Fx hasher: one multiply per eight bytes of
+    /// IRI, against SipHash's keyed rounds, on the live store's hot path.
+    term_to_id: FxHashMap<Term, TermId>,
+    /// Plain ids are dense and sequential: id `i` decodes through slot `i`.
+    plain_terms: Vec<Term>,
+    /// Each st id's term and exact anchor (for refinement). Not an Fx map:
+    /// st ids differ in their high (cell) bits, which Fx's multiply keeps
+    /// out of the bucket-picking low bits — a handful of long probe chains.
+    st_terms: HashMap<TermId, (Term, GeoPoint, Timestamp)>,
     /// Next sequence number per st-cell.
     next_in_cell: FxHashMap<StCellId, u64>,
-    /// Exact anchor of each st term, for refinement.
-    anchors: FxHashMap<TermId, (GeoPoint, Timestamp)>,
 }
 
 impl Dictionary {
@@ -60,11 +65,10 @@ impl Dictionary {
     pub fn new(encoder: StCellEncoder) -> Self {
         Self {
             encoder,
-            term_to_id: HashMap::new(),
-            id_to_term: FxHashMap::default(),
-            next_plain: 0,
+            term_to_id: FxHashMap::default(),
+            plain_terms: Vec::new(),
+            st_terms: HashMap::new(),
             next_in_cell: FxHashMap::default(),
-            anchors: FxHashMap::default(),
         }
     }
 
@@ -73,39 +77,49 @@ impl Dictionary {
         &self.encoder
     }
 
+    /// Encodes a term, returning its id and whether this call registered
+    /// it. A known term costs one hash and no clone (`HashMap::entry` would
+    /// clone the key's `Arc` on every hit to save one hash on a miss).
+    /// `anchor` is asked only on first sight: an anchor inside the encoder's
+    /// grid and epoch yields an st id embedding its cell, anything else a
+    /// fresh plain id (outside the grid no st constraint can hold anyway).
+    pub fn intern(&mut self, term: &Term, anchor: impl FnOnce() -> Option<(GeoPoint, Timestamp)>) -> (TermId, bool) {
+        if let Some(&id) = self.term_to_id.get(term) {
+            return (id, false);
+        }
+        let st = anchor().and_then(|(point, ts)| Some((self.encoder.encode(&point, ts)?, point, ts)));
+        // Both asserts fire before the term is registered anywhere.
+        let id = match st {
+            Some((cell, point, ts)) => {
+                assert!(cell.0 < CELL_LIMIT, "st-cell id space exhausted");
+                let seq = self.next_in_cell.entry(cell).or_insert(0);
+                assert!(*seq <= SEQ_MASK, "st-cell sequence space exhausted");
+                let id = ST_FLAG | (cell.0 << SEQ_BITS) | *seq;
+                *seq += 1;
+                self.st_terms.insert(id, (term.clone(), point, ts));
+                id
+            }
+            None => {
+                let id = self.plain_terms.len() as TermId;
+                assert!(id & ST_FLAG == 0, "plain id space exhausted");
+                self.plain_terms.push(term.clone());
+                id
+            }
+        };
+        self.term_to_id.insert(term.clone(), id);
+        (id, true)
+    }
+
     /// Encodes an ordinary term, assigning a fresh plain id on first sight.
     pub fn encode(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.term_to_id.get(term) {
-            return id;
-        }
-        let id = self.next_plain;
-        self.next_plain += 1;
-        assert!(id & ST_FLAG == 0, "plain id space exhausted");
-        self.term_to_id.insert(term.clone(), id);
-        self.id_to_term.insert(id, term.clone());
-        id
+        self.intern(term, || None).0
     }
 
     /// Encodes a spatio-temporal entity term with its exact anchor. The id
     /// embeds the entity's st-cell. Entities outside the encoder's grid or
-    /// epoch fall back to plain ids (they can never satisfy an st
-    /// constraint anyway).
+    /// epoch fall back to plain ids.
     pub fn encode_st(&mut self, term: &Term, point: &GeoPoint, ts: Timestamp) -> TermId {
-        if let Some(&id) = self.term_to_id.get(term) {
-            return id;
-        }
-        let Some(cell) = self.encoder.encode(point, ts) else {
-            return self.encode(term);
-        };
-        assert!(cell.0 < CELL_LIMIT, "st-cell id space exhausted");
-        let seq = self.next_in_cell.entry(cell).or_insert(0);
-        assert!(*seq <= SEQ_MASK, "st-cell sequence space exhausted");
-        let id = ST_FLAG | (cell.0 << SEQ_BITS) | *seq;
-        *seq += 1;
-        self.term_to_id.insert(term.clone(), id);
-        self.id_to_term.insert(id, term.clone());
-        self.anchors.insert(id, (*point, ts));
-        id
+        self.intern(term, || Some((*point, ts))).0
     }
 
     /// Looks up an already-encoded term.
@@ -115,7 +129,11 @@ impl Dictionary {
 
     /// Decodes an id.
     pub fn term_of(&self, id: TermId) -> Option<&Term> {
-        self.id_to_term.get(&id)
+        if Self::is_st(id) {
+            self.st_terms.get(&id).map(|(term, ..)| term)
+        } else {
+            self.plain_terms.get(id as usize)
+        }
     }
 
     /// `true` when the id belongs to the spatio-temporal class.
@@ -130,7 +148,7 @@ impl Dictionary {
 
     /// The exact anchor of an st term, for refinement.
     pub fn anchor(&self, id: TermId) -> Option<(GeoPoint, Timestamp)> {
-        self.anchors.get(&id).copied()
+        self.st_terms.get(&id).map(|&(_, point, ts)| (point, ts))
     }
 
     /// Translates st-cell ranges into *id ranges* over the st id class.

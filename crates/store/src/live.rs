@@ -8,15 +8,17 @@
 //! processing to low-latency queries. [`LiveStore`] closes that gap:
 //!
 //! * **Incremental ingestion** — [`ingest_batch`](LiveStore::ingest_batch)
-//!   dictionary-encodes a batch of triples on the hot path and appends one
-//!   frozen *segment* per touched partition, built from the same
-//!   [`StorageLayout`] implementations the batch store uses.
+//!   dictionary-encodes a batch on the hot path and appends one immutable
+//!   run sorted by `(s, p, o)` per touched partition, merging that
+//!   partition's newest runs while the older is no more than
+//!   [`MERGE_RATIO`]× the newer: O(log batches) runs however long the stream.
 //! * **Snapshot isolation** — committed state is an immutable
-//!   [`Generation`]: an `Arc` holding per-partition segment lists and a
+//!   [`Generation`]: an `Arc` holding per-partition run lists and a
 //!   triple-count watermark. Publishing a batch swaps one `Arc` pointer;
 //!   readers pin a generation ([`snapshot`](LiveStore::snapshot)) and query
 //!   it lock-free, so a concurrent reader sees either all of a batch or
-//!   none of it, never a half-applied state. The dictionary is append-only
+//!   none of it, and the runs a merge supersedes live on while a pinned
+//!   generation points at them. The dictionary is append-only
 //!   and every id referenced by a committed generation is inserted before
 //!   the generation is published, so pinned reads stay consistent while
 //!   the dictionary grows.
@@ -27,9 +29,8 @@
 //!   anchors are fixed at encode time), so each subject is emitted exactly
 //!   once and the union of emissions equals the result of one
 //!   [`execute_star`](LiveSnapshot::execute_star) over the final state —
-//!   independent of how the stream was batched. The dictionary's
-//!   spatio-temporal pushdown ([`Dictionary::id_ranges`]) prunes candidate
-//!   subjects before any pattern matching.
+//!   independent of how the stream was batched — and a batch need only be
+//!   asked about the subjects to which it adds a row satisfying an arm.
 //!
 //! # Anchors on the live path
 //!
@@ -37,27 +38,35 @@
 //! (`ingest_node(node, point, ts, …)`). The live path sees only triples, so
 //! it recovers anchors *from the data*: a subject carrying both a
 //! `geo:asWKT` `POINT` literal and a datAcron `hasTemporalFeature`
-//! dateTime literal in the same batch is spatio-temporally encoded with
-//! that anchor. The pipeline publishes each semantic node's graph
-//! atomically (one `publish_batch` per critical point), so a drain never
-//! splits a node's triples across batches and the derived anchors equal
-//! the batch path's exactly — `kg_live` pins this equivalence under chaos.
+//! dateTime literal in the batch of its first appearance is
+//! spatio-temporally encoded with that anchor. The pipeline publishes each
+//! semantic node's graph atomically (one `publish_batch` per critical
+//! point), so a drain never splits a node's triples across batches and the
+//! derived anchors equal the batch path's exactly — `kg_live` pins this
+//! equivalence under chaos. (A caller that does split a node gets a plain
+//! subject no st window matches; every other guarantee holds.)
 
 use crate::dictionary::{Dictionary, EncodedTriple, TermId};
-use crate::layout::{make_layout, StorageLayout};
+use crate::run::{arm_in, for_each_subject, Arm, SortedRun};
 use crate::store::{partition_index, QueryStats, StExecution, StarQuery, StoreConfig};
 use crate::subscribe::{Subscription, SubscriptionHandle, SubscriptionStats};
+use datacron_geo::hash::FxHashMap;
 use datacron_geo::{GeoPoint, StCellEncoder, Timestamp};
 use datacron_rdf::term::{Literal, Term, Triple};
 use datacron_rdf::vocab;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
+/// Size-tiered merge rule: a partition's two newest runs merge while the
+/// older holds no more than this many times the newer's triples. Every run
+/// then outweighs its newer neighbour twice over — at most log₂(triples) + 1
+/// runs — and a triple is copied O(log) times over its life.
+const MERGE_RATIO: usize = 2;
+
 /// An immutable committed state of the live store: per-partition lists of
-/// frozen segments plus the triple-count watermark. Readers pin a
-/// generation and query it without locks; writers never mutate a published
+/// sorted runs plus the triple-count watermark. Readers pin a generation
+/// and query it without locks; writers never mutate a published
 /// generation, they publish a successor.
 #[derive(Clone)]
 pub struct Generation {
@@ -65,8 +74,8 @@ pub struct Generation {
     number: u64,
     /// Total triples committed up to and including this generation.
     watermark: u64,
-    /// Frozen segments, one list per partition.
-    segments: Vec<Vec<Arc<dyn StorageLayout>>>,
+    /// Sorted runs, one list per partition, oldest (largest) first.
+    segments: Vec<Vec<Arc<SortedRun>>>,
 }
 
 impl Generation {
@@ -93,22 +102,17 @@ impl Generation {
     /// [`watermark`](Self::watermark) by construction; the snapshot-
     /// isolation tests assert this invariant concurrently with ingestion.
     pub fn triple_count(&self) -> u64 {
-        self.segments
-            .iter()
-            .flat_map(|part| part.iter())
-            .map(|seg| seg.len() as u64)
-            .sum()
+        self.segments.iter().flatten().map(|run| run.len() as u64).sum()
     }
 
-    /// Segments in one partition (diagnostics).
+    /// Segments summed over all partitions (diagnostics).
     pub fn segment_count(&self) -> usize {
         self.segments.iter().map(|p| p.len()).sum()
     }
 
-    fn subject_has(&self, s: TermId, p: TermId, o: Option<TermId>, partitions: usize) -> bool {
-        self.segments[partition_index(s, partitions)]
-            .iter()
-            .any(|seg| seg.subject_has(s, p, o))
+    /// The runs of the partition that owns subject `s`.
+    fn partition_of(&self, s: TermId) -> &[Arc<SortedRun>] {
+        &self.segments[partition_index(s, self.segments.len())]
     }
 }
 
@@ -138,6 +142,7 @@ pub struct BatchSummary {
 /// Concurrent `ingest_batch` calls are serialized by an internal writer
 /// lock.
 pub struct LiveStore {
+    /// Only `partitions` is read; `layout` is the batch store's variable.
     config: StoreConfig,
     /// Term dictionary. Append-only: ids are never re-assigned, so readers
     /// holding an older generation can always decode their ids.
@@ -152,6 +157,17 @@ pub struct LiveStore {
     next_sub_id: AtomicU64,
     /// Total spatio-temporally encoded subjects (monotone, set-based).
     st_subjects: AtomicU64,
+}
+
+/// Takes a store lock's guard whether or not the lock is poisoned: a writer
+/// that panicked mid-batch (the dictionary's id-space asserts are reachable
+/// from input) must not turn every later `snapshot`, `stats`, `health` and
+/// barrier into a panic too. Sound because nothing behind these locks is
+/// left half-updated — a generation is published only once its batch is
+/// fully built, the dictionary is append-only and asserts before it
+/// registers — so the interrupted batch is simply not committed.
+fn relock<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Parses a `POINT (lon lat)` WKT literal. Rust's `f64` display is the
@@ -171,7 +187,7 @@ fn parse_point_wkt(s: &str) -> Option<GeoPoint> {
 /// Encodes a star query's arms; `None` when any arm term is still unknown
 /// to the dictionary — no stored triple can then satisfy every arm, so the
 /// query has no matches yet.
-fn encode_arms(dict: &Dictionary, q: &StarQuery) -> Option<Vec<(TermId, Option<TermId>)>> {
+fn encode_arms(dict: &Dictionary, q: &StarQuery) -> Option<Vec<Arm>> {
     let mut arms = Vec::with_capacity(q.arms.len());
     for (p, o) in &q.arms {
         let p_id = dict.id_of(p)?;
@@ -195,6 +211,13 @@ fn anchor_passes(dict: &Dictionary, q: &StarQuery, s: TermId) -> bool {
     }
 }
 
+/// The sorted, coalesced id ranges a query's st window pushes down into
+/// the scans (they depend only on the encoder, fixed at construction).
+fn pushdown_ranges(dict: &Dictionary, q: &StarQuery) -> Option<Vec<(TermId, TermId)>> {
+    let (bbox, interval) = q.st.as_ref()?;
+    Some(Dictionary::id_ranges(&dict.encoder().query_ranges(bbox, interval)))
+}
+
 impl LiveStore {
     /// Creates an empty live store over the given spatio-temporal encoder.
     pub fn new(encoder: StCellEncoder, config: StoreConfig) -> Self {
@@ -216,33 +239,37 @@ impl LiveStore {
         &self.config
     }
 
+    fn committed(&self) -> Arc<Generation> {
+        relock(self.committed.read()).clone()
+    }
+
     /// Pins the committed generation for isolated reads. The snapshot
     /// keeps answering from its pinned state however many batches commit
     /// after it.
     pub fn snapshot(&self) -> LiveSnapshot<'_> {
         LiveSnapshot {
             store: self,
-            generation: self.committed.read().expect("store lock poisoned").clone(),
+            generation: self.committed(),
         }
     }
 
     /// Total committed triples (the current watermark).
     pub fn triple_count(&self) -> u64 {
-        self.committed.read().expect("store lock poisoned").watermark
+        self.committed().watermark
     }
 
     /// The exact anchor of a spatio-temporally encoded subject, when the
     /// live path derived one from its `asWKT`/`hasTemporalFeature`
     /// literals.
     pub fn anchor_of(&self, term: &Term) -> Option<(GeoPoint, Timestamp)> {
-        let dict = self.dict.read().expect("store lock poisoned");
+        let dict = relock(self.dict.read());
         dict.id_of(term).and_then(|id| dict.anchor(id))
     }
 
     /// Point-in-time statistics (for health reporting).
     pub fn stats(&self) -> LiveStoreStats {
-        let generation = self.committed.read().expect("store lock poisoned").clone();
-        let subs = self.subs.lock().expect("store lock poisoned");
+        let generation = self.committed();
+        let subs = relock(self.subs.lock());
         LiveStoreStats {
             generation: generation.number,
             watermark: generation.watermark,
@@ -256,68 +283,60 @@ impl LiveStore {
 
     /// Per-subscription statistics, in registration order.
     pub fn subscription_stats(&self) -> Vec<SubscriptionStats> {
-        self.subs
-            .lock()
-            .expect("store lock poisoned")
-            .iter()
-            .map(Subscription::stats)
-            .collect()
+        relock(self.subs.lock()).iter().map(Subscription::stats).collect()
     }
 
     /// Registers a continuous star-join subscription. Matches already
-    /// present in the committed state are emitted immediately (backfill),
-    /// then every batch that completes a new match emits it exactly once —
+    /// present in the committed state are emitted immediately (backfill,
+    /// counted in the handle's `backfilled`), then every batch that
+    /// completes a new match emits it exactly once —
     /// the union of emissions always equals a fresh
     /// [`execute_star`](LiveSnapshot::execute_star) over the current state.
     /// Matches land on a bounded topic of the given capacity with
     /// drop-oldest overflow: a subscriber that falls behind observes a
     /// `Lagged` signal and can re-sync from a snapshot query.
     pub fn subscribe(&self, query: StarQuery, capacity: usize) -> SubscriptionHandle {
-        let _w = self.writer.lock().expect("store lock poisoned");
+        let _w = relock(self.writer.lock());
         let id = self.next_sub_id.fetch_add(1, Ordering::Relaxed);
-        let generation = self.committed.read().expect("store lock poisoned").clone();
-        let dict = self.dict.read().expect("store lock poisoned");
-        // Spatio-temporal pushdown ranges depend only on the encoder (fixed
-        // at construction), so they are computed once per subscription.
-        let ranges = query.st.as_ref().map(|(bbox, interval)| {
-            let mut r = Dictionary::id_ranges(&dict.encoder().query_ranges(bbox, interval));
-            r.sort_unstable();
-            r
-        });
+        let generation = self.committed();
+        let dict = relock(self.dict.read());
+        let ranges = pushdown_ranges(&dict, &query);
         let mut sub = Subscription::new(id, query, ranges, capacity);
-        let handle = sub.handle();
+        let mut handle = sub.handle();
         // Backfill: emit everything the committed state already matches.
-        let (ids, _) = self.eval_star(&dict, &generation, sub.query(), StExecution::Pushdown);
+        let (ids, _) = eval_star(&dict, &generation, sub.query(), StExecution::Pushdown);
+        handle.backfilled = ids.len() as u64;
         for s in ids {
             sub.emit(s, dict.term_of(s).expect("ids come from the store").clone(), None);
         }
-        self.subs.lock().expect("store lock poisoned").push(sub);
+        relock(self.subs.lock()).push(sub);
         handle
     }
 
     /// Ingests a batch of triples: dictionary-encodes them (deriving
     /// spatio-temporal anchors from `asWKT`/`hasTemporalFeature` literals),
-    /// freezes one segment per touched partition, publishes the successor
-    /// generation, and evaluates every subscription against the new state.
-    /// Concurrent readers observe either the previous or the new
-    /// generation, never a partial batch.
+    /// appends one sorted run per touched partition and merges behind it,
+    /// publishes the successor generation, and evaluates every
+    /// subscription on the batch's delta. Concurrent readers observe
+    /// either the previous or the new generation, never a partial batch.
     pub fn ingest_batch(&self, triples: &[Triple]) -> BatchSummary {
         let t0 = Instant::now();
-        let _w = self.writer.lock().expect("store lock poisoned");
+        let _w = relock(self.writer.lock());
+        let prev = self.committed();
         if triples.is_empty() {
-            let generation = self.committed.read().expect("store lock poisoned").clone();
             return BatchSummary {
-                generation: generation.number,
-                watermark: generation.watermark,
+                generation: prev.number,
+                watermark: prev.watermark,
                 ..BatchSummary::default()
             };
         }
 
         // Pass 1: collect anchors — subjects carrying both a WKT point and
-        // a temporal literal in this batch.
+        // a temporal literal in this batch. A look-ahead, because a subject
+        // is st-encoded at its first triple and the literals come later.
         let wkt_p = vocab::as_wkt();
         let time_p = vocab::has_time();
-        let mut anchors: HashMap<&Term, (Option<GeoPoint>, Option<Timestamp>)> = HashMap::new();
+        let mut anchors: FxHashMap<&Term, (Option<GeoPoint>, Option<Timestamp>)> = FxHashMap::default();
         for t in triples {
             if t.p == wkt_p {
                 if let Term::Literal(Literal::Wkt(s)) = &t.o {
@@ -336,90 +355,101 @@ impl LiveStore {
         // appearance (in triple order, so id assignment is deterministic);
         // everything else gets plain ids in encounter order — exactly the
         // order `KnowledgeStore::ingest_node` produces for the same data.
+        // A node's triples arrive contiguously, so a repeated subject
+        // reuses the previous triple's id without touching the dictionary.
+        // `fresh`: subjects the dictionary first heard of in this batch —
+        // no older run can hold a row of theirs.
         let mut new_st = 0u64;
-        let mut per_part: Vec<Vec<EncodedTriple>> = vec![Vec::new(); self.config.partitions];
-        let mut batch_subjects: HashSet<TermId> = HashSet::new();
+        let mut batch: Vec<EncodedTriple> = Vec::with_capacity(triples.len());
+        let mut fresh: Vec<TermId> = Vec::new();
         {
-            let mut dict = self.dict.write().expect("store lock poisoned");
+            let mut dict = relock(self.dict.write());
+            let mut last: Option<(&Term, TermId)> = None;
             for t in triples {
-                if dict.id_of(&t.s).is_none() {
-                    if let Some((Some(point), Some(ts))) = anchors.get(&t.s) {
-                        let id = dict.encode_st(&t.s, point, *ts);
-                        if Dictionary::is_st(id) {
-                            new_st += 1;
+                let s = match last {
+                    Some((term, id)) if *term == t.s => id,
+                    _ => {
+                        let (id, new) = dict.intern(&t.s, || match anchors.get(&t.s) {
+                            Some(&(Some(point), Some(ts))) => Some((point, ts)),
+                            _ => None,
+                        });
+                        if new {
+                            fresh.push(id);
+                            new_st += u64::from(Dictionary::is_st(id));
                         }
+                        last = Some((&t.s, id));
+                        id
                     }
-                }
-                let s = dict.encode(&t.s);
+                };
                 let p = dict.encode(&t.p);
                 let o = dict.encode(&t.o);
-                batch_subjects.insert(s);
-                per_part[partition_index(s, self.config.partitions)].push(EncodedTriple { s, p, o });
+                batch.push(EncodedTriple { s, p, o });
             }
         }
         self.st_subjects.fetch_add(new_st, Ordering::Relaxed);
+        batch.sort_unstable();
+        fresh.sort_unstable();
 
-        // Freeze one segment per touched partition and publish the
-        // successor generation: readers switch from the old state to the
-        // new one at a single pointer swap.
-        let prev = self.committed.read().expect("store lock poisoned").clone();
+        // One run per touched partition (rows dealt out in order stay
+        // sorted), merged behind by the size-tiered rule; then readers switch
+        // to the successor generation at a single pointer swap.
+        let partitions = self.config.partitions;
+        let mut per_part: Vec<Vec<EncodedTriple>> = vec![Vec::new(); partitions];
+        for rows in batch.chunk_by(|a, b| a.s == b.s) {
+            per_part[partition_index(rows[0].s, partitions)].extend_from_slice(rows);
+        }
         let mut segments = prev.segments.clone();
-        for (part, encoded) in per_part.into_iter().enumerate() {
-            if encoded.is_empty() {
+        for (runs, rows) in segments.iter_mut().zip(per_part) {
+            if rows.is_empty() {
                 continue;
             }
-            let mut layout = make_layout(self.config.layout);
-            for e in encoded {
-                layout.insert(e);
+            let mut newest = SortedRun::from_sorted(rows);
+            while runs.last().is_some_and(|older| older.len() <= MERGE_RATIO * newest.len()) {
+                newest = runs.pop().expect("checked non-empty").merge(&newest);
             }
-            segments[part].push(Arc::from(layout));
+            runs.push(Arc::new(newest));
         }
-        let generation = Arc::new(Generation {
-            number: prev.number + 1,
-            watermark: prev.watermark + triples.len() as u64,
-            segments,
-        });
-        *self.committed.write().expect("store lock poisoned") = generation.clone();
-
-        // Continuous queries: only subjects touched by this batch can have
-        // become matches (star-joins are monotone), evaluated in sorted id
-        // order for deterministic emission.
-        let mut candidates: Vec<TermId> = batch_subjects.into_iter().collect();
-        candidates.sort_unstable();
         let mut summary = BatchSummary {
             triples: triples.len() as u64,
             new_st_subjects: new_st,
-            generation: generation.number,
-            watermark: generation.watermark,
+            generation: prev.number + 1,
+            watermark: prev.watermark + triples.len() as u64,
             ..BatchSummary::default()
         };
-        let dict = self.dict.read().expect("store lock poisoned");
-        let mut subs = self.subs.lock().expect("store lock poisoned");
+        *relock(self.committed.write()) = Arc::new(Generation {
+            number: summary.generation,
+            watermark: summary.watermark,
+            segments,
+        });
+
+        // Continuous queries, semi-naive: star joins over an append-only
+        // store are monotone, so a subject can *become* a match only in a
+        // batch that adds a row satisfying one of the subscription's arms.
+        // Those subjects alone are candidates (ascending id: deterministic
+        // emission); the batch's own rows answer first, the previous
+        // generation's runs only for subjects the dictionary already knew.
+        let batch = SortedRun::from_sorted(batch);
+        let dict = relock(self.dict.read());
+        let mut subs = relock(self.subs.lock());
         for sub in subs.iter_mut() {
             let Some(arms) = encode_arms(&dict, sub.query()) else {
                 continue;
             };
-            for &s in &candidates {
-                if sub.already_emitted(s) {
-                    continue;
+            let mut matched: Vec<TermId> = Vec::new();
+            for_each_subject(&[&batch], sub.ranges(), |rows| {
+                let s = rows[0][0].s;
+                if !arms.iter().any(|arm| arm_in(rows, arm)) || sub.already_emitted(s) {
+                    return;
                 }
-                // Spatio-temporal pushdown: two integer comparisons per
-                // candidate before any pattern matching.
-                if let Some(ranges) = sub.ranges() {
-                    if !Dictionary::id_in_ranges(ranges, s) {
-                        continue;
-                    }
+                // Older runs newest first, each pruned by its zone map.
+                let older = if fresh.binary_search(&s).is_ok() { &[][..] } else { prev.partition_of(s) };
+                let holds = |arm: &Arm| arm_in(rows, arm) || older.iter().rev().any(|run| run.subject_has(s, arm.0, arm.1));
+                if arms.iter().all(holds) && anchor_passes(&dict, sub.query(), s) {
+                    matched.push(s);
                 }
-                if !arms
-                    .iter()
-                    .all(|&(p, o)| generation.subject_has(s, p, o, self.config.partitions))
-                {
-                    continue;
-                }
-                if !anchor_passes(&dict, sub.query(), s) {
-                    continue;
-                }
-                let latency = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            });
+            let latency = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            for s in matched {
                 sub.emit(s, dict.term_of(s).expect("ids come from the store").clone(), Some(latency));
                 summary.new_matches += 1;
                 summary.match_ns.push(latency);
@@ -427,60 +457,40 @@ impl LiveStore {
         }
         summary
     }
+}
 
-    /// The shared star executor over a pinned generation: seed scan (with
-    /// pushdown when enabled), semi-join of the remaining arms, exact
-    /// anchor refinement. Returns sorted matching ids — the same answer
-    /// and [`QueryStats`] semantics as
-    /// [`KnowledgeStore::execute_star`](crate::KnowledgeStore::execute_star).
-    fn eval_star(
-        &self,
-        dict: &Dictionary,
-        generation: &Generation,
-        q: &StarQuery,
-        exec: StExecution,
-    ) -> (Vec<TermId>, QueryStats) {
-        let mut stats = QueryStats::default();
-        if q.arms.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let Some(arms) = encode_arms(dict, q) else {
-            return (Vec::new(), stats);
-        };
-        let pushdown_ranges: Option<Vec<(TermId, TermId)>> = match (exec, &q.st) {
-            (StExecution::Pushdown, Some((bbox, interval))) => {
-                let mut r = Dictionary::id_ranges(&dict.encoder().query_ranges(bbox, interval));
-                r.sort_unstable();
-                Some(r)
-            }
-            _ => None,
-        };
-        let seed_idx = arms.iter().position(|(_, o)| o.is_some()).unwrap_or(0);
-        let (seed_p, seed_o) = arms[seed_idx];
-        let mut candidates: HashSet<TermId> = HashSet::new();
-        for part in &generation.segments {
-            for seg in part {
-                let mut subs = seg.subjects_matching(seed_p, seed_o);
-                if let Some(ranges) = pushdown_ranges.as_deref() {
-                    subs.retain(|&s| Dictionary::id_in_ranges(ranges, s));
+/// The star executor over a pinned generation: each partition's runs are
+/// read in step (cut down to the st id ranges under pushdown), so every
+/// subject is met once with all its rows. Returns sorted matching ids — the
+/// same answer and [`QueryStats`] semantics as
+/// [`KnowledgeStore::execute_star`](crate::KnowledgeStore::execute_star).
+fn eval_star(dict: &Dictionary, generation: &Generation, q: &StarQuery, exec: StExecution) -> (Vec<TermId>, QueryStats) {
+    let mut stats = QueryStats::default();
+    let Some(arms) = encode_arms(dict, q).filter(|arms| !arms.is_empty()) else {
+        return (Vec::new(), stats);
+    };
+    let ranges = match exec {
+        StExecution::Pushdown => pushdown_ranges(dict, q),
+        StExecution::PostFilter => None,
+    };
+    // Seed on an arm with a constant object (most selective) when there is one.
+    let seed = arms[arms.iter().position(|(_, o)| o.is_some()).unwrap_or(0)];
+    let mut matched = Vec::new();
+    for runs in &generation.segments {
+        for_each_subject(runs, ranges.as_deref(), |rows| {
+            if arm_in(rows, &seed) {
+                stats.seed_candidates += 1;
+                if arms.iter().all(|arm| arm_in(rows, arm)) {
+                    matched.push(rows[0][0].s);
                 }
-                candidates.extend(subs);
             }
-        }
-        stats.seed_candidates = candidates.len() as u64;
-        for (i, &(p, o)) in arms.iter().enumerate() {
-            if i == seed_idx {
-                continue;
-            }
-            candidates.retain(|&s| generation.subject_has(s, p, o, self.config.partitions));
-        }
-        stats.pattern_matches = candidates.len() as u64;
-        let mut results: Vec<TermId> =
-            candidates.into_iter().filter(|&s| anchor_passes(dict, q, s)).collect();
-        results.sort_unstable();
-        stats.results = results.len() as u64;
-        (results, stats)
+        });
     }
+    stats.pattern_matches = matched.len() as u64;
+    matched.retain(|&s| anchor_passes(dict, q, s));
+    matched.sort_unstable();
+    stats.results = matched.len() as u64;
+    (matched, stats)
 }
 
 /// Point-in-time statistics of a [`LiveStore`].
@@ -490,7 +500,7 @@ pub struct LiveStoreStats {
     pub generation: u64,
     /// Committed triples.
     pub watermark: u64,
-    /// Frozen segments across all partitions.
+    /// Sorted runs across all partitions.
     pub segments: u64,
     /// Subjects in the spatio-temporal id class.
     pub st_subjects: u64,
@@ -526,8 +536,8 @@ impl LiveSnapshot<'_> {
     /// semantics and [`QueryStats`] as
     /// [`KnowledgeStore::execute_star`](crate::KnowledgeStore::execute_star).
     pub fn execute_star(&self, q: &StarQuery, exec: StExecution) -> (Vec<Term>, QueryStats) {
-        let dict = self.store.dict.read().expect("store lock poisoned");
-        let (ids, stats) = self.store.eval_star(&dict, &self.generation, q, exec);
+        let dict = relock(self.store.dict.read());
+        let (ids, stats) = eval_star(&dict, &self.generation, q, exec);
         let terms = ids
             .into_iter()
             .map(|id| dict.term_of(id).expect("result ids come from the store").clone())
@@ -537,15 +547,16 @@ impl LiveSnapshot<'_> {
 
     /// Objects of `(subject, predicate)` in the pinned state.
     pub fn objects_of(&self, subject: &Term, predicate: &Term) -> Vec<Term> {
-        let dict = self.store.dict.read().expect("store lock poisoned");
+        let dict = relock(self.store.dict.read());
         let (Some(s), Some(p)) = (dict.id_of(subject), dict.id_of(predicate)) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for seg in &self.generation.segments[partition_index(s, self.store.config.partitions)] {
-            out.extend(seg.objects_of(s, p));
-        }
-        out.into_iter().filter_map(|o| dict.term_of(o).cloned()).collect()
+        self.generation
+            .partition_of(s)
+            .iter()
+            .flat_map(|run| run.objects_of(s, p))
+            .filter_map(|o| dict.term_of(o).cloned())
+            .collect()
     }
 }
 
@@ -571,6 +582,7 @@ mod tests {
     use crate::layout::LayoutKind;
     use crate::store::KnowledgeStore;
     use datacron_geo::{BoundingBox, EquiGrid, TimeInterval};
+    use std::collections::HashSet;
 
     fn encoder() -> StCellEncoder {
         let grid = EquiGrid::new(BoundingBox::new(0.0, 0.0, 10.0, 10.0), 16, 16);
@@ -740,6 +752,69 @@ mod tests {
             let observed = reader.join().expect("reader panicked");
             assert!(observed.windows(2).all(|w| w[0] <= w[1]), "watermarks are monotone");
         });
+    }
+
+    #[test]
+    fn pushdown_prunes_the_seed_scan_on_the_merged_layout() {
+        // The paper's mechanism, on runs that have been through merges: an
+        // st id range must still be a slice of a run, so the seed scan under
+        // pushdown meets strictly fewer candidates than the post-filter
+        // plan, for the same answer.
+        let live = LiveStore::new(encoder(), StoreConfig::default());
+        for i in 0..1000 {
+            live.ingest_batch(&node_graph(i).3);
+        }
+        let snap = live.snapshot();
+        assert!(
+            snap.generation().segment_count() < 40,
+            "1000 batches merged down to {} runs",
+            snap.generation().segment_count()
+        );
+        let (push, push_stats) = snap.execute_star(&turn_query(st_window()), StExecution::Pushdown);
+        let (post, post_stats) = snap.execute_star(&turn_query(st_window()), StExecution::PostFilter);
+        assert_eq!(push, post);
+        assert!(!push.is_empty(), "the window keeps some turn nodes");
+        assert!(
+            push_stats.seed_candidates * 4 < post_stats.seed_candidates,
+            "pushdown {} vs post-filter {} seed candidates",
+            push_stats.seed_candidates,
+            post_stats.seed_candidates
+        );
+        assert_eq!(push_stats.results, post_stats.results);
+    }
+
+    #[test]
+    fn a_writer_panic_mid_batch_leaves_the_store_serving() {
+        let live = LiveStore::new(encoder(), StoreConfig::default());
+        let handle = live.subscribe(turn_query(None), 1024);
+        for i in 0..40 {
+            live.ingest_batch(&node_graph(i).3);
+        }
+        let before = live.snapshot().execute_star(&turn_query(None), StExecution::Pushdown);
+        // A writer dies where `ingest_batch` can (one of the dictionary's
+        // id-space asserts): holding the writer lock, the dictionary write
+        // lock and the subscription list, with the batch not yet published.
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _writer = live.writer.lock().unwrap();
+            let _dict = live.dict.write().unwrap();
+            let _subs = live.subs.lock().unwrap();
+            panic!("simulated: st-cell sequence space exhausted");
+        }));
+        assert!(died.is_err());
+        assert!(live.writer.is_poisoned() && live.dict.is_poisoned() && live.subs.is_poisoned());
+        // Readers answer from the last committed generation …
+        assert_eq!(live.snapshot().execute_star(&turn_query(None), StExecution::Pushdown), before);
+        assert_eq!(live.stats().generation, 40);
+        assert_eq!(live.triple_count(), live.snapshot().generation().triple_count());
+        assert!(live.anchor_of(&node_graph(3).0).is_some());
+        // … and the next writer carries on from it.
+        for i in 40..80 {
+            live.ingest_batch(&node_graph(i).3);
+        }
+        assert_eq!(live.stats().generation, 80);
+        let mut consumer = handle.matches;
+        assert_eq!(consumer.drain().expect("no overflow").len(), 20, "i % 4 == 0 in 0..80");
+        assert_eq!(live.subscribe(turn_query(None), 64).backfilled, 20);
     }
 
     #[test]

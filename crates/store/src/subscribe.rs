@@ -45,6 +45,9 @@ pub struct SubscriptionHandle {
     pub matches: Consumer<StarMatch>,
     /// The match topic itself (for health/stats or extra consumers).
     pub topic: Arc<Topic<StarMatch>>,
+    /// Matches `subscribe` itself emitted (`latency_ns: None`) for state
+    /// already committed, counted under the store's writer lock.
+    pub backfilled: u64,
 }
 
 /// Point-in-time statistics of one subscription.
@@ -95,6 +98,7 @@ impl Subscription {
             id: self.id,
             matches: self.topic.consumer(),
             topic: self.topic.clone(),
+            backfilled: 0,
         }
     }
 

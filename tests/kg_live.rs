@@ -9,9 +9,15 @@
 //! blocking backpressure), the count-typed `kg.*` series are bit-identical
 //! single vs sharded, and the `kg.ingest_to_match_ns` histogram plus
 //! `KgHealth` surface in metrics and health.
+//!
+//! The store's write path (sorted runs, size-tiered merge, semi-naive
+//! subscription evaluation) is pinned by properties over seeded random
+//! triple streams: `emissions_are_independent_of_batching`,
+//! `segments_stay_logarithmic_and_pinned_snapshots_survive_merges`, and
+//! `subscribing_while_draining_counts_each_match_once`.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use datacron::core::kg::{LiveKg, LiveKgConfig};
@@ -19,6 +25,7 @@ use datacron::core::realtime::RealTimeLayer;
 use datacron::core::sharded::ShardedRealTimeLayer;
 use datacron::core::system::DatacronSystem;
 use datacron::core::DatacronConfig;
+use datacron::data::rng::SeededRng;
 use datacron::geo::{
     BoundingBox, EntityId, EquiGrid, GeoPoint, PositionReport, StCellEncoder, TimeInterval,
     Timestamp,
@@ -26,7 +33,7 @@ use datacron::geo::{
 use datacron::rdf::term::{Term, Triple};
 use datacron::rdf::vocab;
 use datacron::store::store::{StExecution, StarQuery};
-use datacron::store::{LiveStore, StoreConfig};
+use datacron::store::{anchored_node_triples, LiveStore, StoreConfig};
 use datacron::stream::faults::{ChaosSource, FaultPlan};
 use datacron::stream::parallel::ShardedConfig;
 
@@ -258,13 +265,16 @@ fn concurrent_snapshots_never_observe_a_partial_batch() {
     let mut system = DatacronSystem::new(config(), Vec::new(), Vec::new(), StoreConfig::default());
     let kg = system.enable_live_kg(LiveKgConfig::default());
     let done = AtomicBool::new(false);
+    // Snapshots checked so far. The writer holds back two thirds of the
+    // stream until the reader has checked one (the store ingests this stream
+    // in a few milliseconds: an unsynchronised reader can miss all of it).
+    let observed = AtomicU64::new(0);
 
     std::thread::scope(|s| {
         let reader_kg = kg.clone();
-        let done_ref = &done;
+        let (done_ref, observed) = (&done, &observed);
         let reader = s.spawn(move || {
             let mut last_watermark = 0u64;
-            let mut observed = 0u64;
             while !done_ref.load(Ordering::Acquire) {
                 let snap = reader_kg.store().snapshot();
                 let watermark = snap.triple_count();
@@ -275,19 +285,24 @@ fn concurrent_snapshots_never_observe_a_partial_batch() {
                 assert_eq!(snap.triple_count(), watermark, "pinned snapshot is stable");
                 assert!(watermark >= last_watermark, "watermark is monotone");
                 last_watermark = watermark;
-                observed += 1;
+                observed.fetch_add(1, Ordering::Release);
             }
-            observed
         });
 
-        for r in &input {
+        let (head, tail) = input.split_at(input.len() / 3);
+        for r in head {
+            system.ingest(*r);
+        }
+        while observed.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        for r in tail {
             system.ingest(*r);
         }
         system.realtime.flush();
         system.sync_batch();
         done.store(true, Ordering::Release);
-        let observed = reader.join().expect("reader thread");
-        assert!(observed > 0, "the reader actually raced the writer");
+        reader.join().expect("reader thread");
     });
     assert!(kg.health().ingested_triples > 0);
 }
@@ -401,4 +416,262 @@ fn live_kg_survives_mid_stream_resizes() {
         let health = sharded.finish().health.kg.expect("kg enabled");
         assert!(health.is_clean(), "seed {seed}: no triple lost or left behind");
     }
+}
+
+fn prop_store(partitions: usize) -> LiveStore {
+    let grid = EquiGrid::new(BoundingBox::new(0.0, 0.0, 10.0, 10.0), 16, 16);
+    let encoder = StCellEncoder::new(grid, Timestamp(0), 60_000);
+    LiveStore::new(encoder, StoreConfig { partitions, ..StoreConfig::default() })
+}
+
+/// Star queries over the random streams: anchored nodes (plain and under an
+/// st window) and the recurring, never-anchored entity subjects.
+fn prop_queries() -> Vec<StarQuery> {
+    let node_arms = vec![
+        (Term::iri("p:type"), Some(Term::iri("c:Node"))),
+        (Term::iri("p:event"), Some(Term::str("turn"))),
+    ];
+    let window = (
+        BoundingBox::new(1.0, 0.0, 7.0, 6.0),
+        TimeInterval::new(Timestamp(0), Timestamp(1_500_000)),
+    );
+    vec![
+        StarQuery { arms: node_arms.clone(), st: None },
+        StarQuery { arms: node_arms, st: Some(window) },
+        StarQuery {
+            arms: vec![
+                (Term::iri("p:kind"), Some(Term::iri("c:Entity"))),
+                (Term::iri("p:flag"), Some(Term::str("hot"))),
+                (Term::iri("p:hasNode"), None),
+            ],
+            st: None,
+        },
+    ]
+}
+
+/// A seeded triple stream shaped like the pipeline's, but adversarial about
+/// *when* a subject's arms arrive. Entities recur in every round (one
+/// `hasNode` each time, like a trajectory IRI) and receive their `kind` and
+/// `flag` arms at random, unrelated points of the stream; a node's `event`
+/// arm is sometimes held back and delivered many triples later. Returns the
+/// stream and the indices no batch may start at: between a node's `asWKT`
+/// and `hasTemporalFeature` triples, which the live store needs together in
+/// the batch of the node's first appearance to anchor it.
+fn random_stream(seed: u64) -> (Vec<Triple>, Vec<usize>) {
+    let mut rng = SeededRng::new(seed);
+    let entities = 3 + rng.index(6);
+    let mut stream: Vec<Triple> = Vec::new();
+    let mut no_cut = Vec::new();
+    let mut held_back: Vec<(usize, Triple)> = Vec::new();
+    for i in 0..(120 + rng.index(120)) {
+        let node = Term::iri(format!("n:{seed}:{i}"));
+        let entity = Term::iri(format!("e:{}", rng.index(entities)));
+        let point = GeoPoint::new(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0));
+        let ts = Timestamp(rng.int_range(0, 3_000_000));
+        let event = Triple::new(
+            node.clone(),
+            Term::iri("p:event"),
+            Term::str(if rng.chance(0.4) { "turn" } else { "cruise" }),
+        );
+        let mut extra = vec![Triple::new(node.clone(), Term::iri("p:type"), Term::iri("c:Node"))];
+        if rng.chance(0.3) {
+            held_back.push((stream.len() + 5 + rng.index(200), event));
+        } else {
+            extra.push(event);
+        }
+        extra.push(Triple::new(node.clone(), Term::iri("p:speed"), Term::double(i as f64)));
+        no_cut.push(stream.len() + 1);
+        stream.extend(anchored_node_triples(&node, &point, ts, &extra));
+        stream.push(Triple::new(entity.clone(), Term::iri("p:hasNode"), node));
+        if rng.chance(0.08) {
+            stream.push(Triple::new(entity.clone(), Term::iri("p:kind"), Term::iri("c:Entity")));
+        }
+        if rng.chance(0.05) {
+            stream.push(Triple::new(entity, Term::iri("p:flag"), Term::str("hot")));
+        }
+        let at = stream.len();
+        held_back.retain(|(due, t)| {
+            if *due <= at {
+                stream.push(t.clone());
+            }
+            *due > at
+        });
+    }
+    stream.extend(held_back.into_iter().map(|(_, t)| t));
+    (stream, no_cut)
+}
+
+/// Cuts `0..len` into batches of 1..=40 triples at random boundaries —
+/// mid-node included, as the benchmark's stage replay does — moving a cut
+/// that would separate an anchor pair one triple later.
+fn random_cuts(rng: &mut SeededRng, len: usize, no_cut: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut cuts = Vec::new();
+    let mut at = 0;
+    while at < len {
+        let mut end = (at + 1 + rng.index(40)).min(len);
+        if no_cut.contains(&end) {
+            end += 1;
+        }
+        cuts.push(at..end.min(len));
+        at = end.min(len);
+    }
+    cuts
+}
+
+/// Batching-independence as a property: however a stream is cut into
+/// batches, (i) the union of a subscription's emissions, (ii) the final
+/// `execute_star` in either execution mode, (iii) a single-batch load of
+/// the same triples and (iv) a late subscriber's backfill plus stream are
+/// the same set, and every subject is emitted exactly once.
+#[test]
+fn emissions_are_independent_of_batching() {
+    let drain_subjects = |handle: &mut datacron::store::SubscriptionHandle| {
+        let matches = handle.matches.drain().expect("match topic never overflows here");
+        let set = match_set(&matches);
+        assert_eq!(set.len(), matches.len(), "a subject was emitted twice");
+        (set, matches.iter().filter(|m| m.latency_ns.is_none()).count() as u64)
+    };
+    for seed in SEEDS {
+        let (stream, no_cut) = random_stream(seed);
+        let reference = prop_store(4);
+        reference.ingest_batch(&stream);
+        let expected: Vec<BTreeSet<String>> = prop_queries()
+            .iter()
+            .map(|q| subject_set(&reference.snapshot().execute_star(q, StExecution::Pushdown).0))
+            .collect();
+        assert!(expected.iter().all(|set| !set.is_empty()), "seed {seed}: every query must match something");
+        assert!(expected[1].len() < expected[0].len(), "seed {seed}: the st window must prune");
+
+        for partitions in [1usize, 4] {
+            let mut rng = SeededRng::new(seed ^ partitions as u64);
+            let cuts = random_cuts(&mut rng, stream.len(), &no_cut);
+            let late_at = rng.index(cuts.len());
+            let live = prop_store(partitions);
+            let mut early: Vec<_> = prop_queries().into_iter().map(|q| live.subscribe(q, 1 << 16)).collect();
+            let mut late = Vec::new();
+            for (b, cut) in cuts.iter().enumerate() {
+                if b == late_at {
+                    late = prop_queries().into_iter().map(|q| live.subscribe(q, 1 << 16)).collect();
+                }
+                live.ingest_batch(&stream[cut.clone()]);
+            }
+            assert_eq!(live.triple_count(), stream.len() as u64);
+            for (i, q) in prop_queries().iter().enumerate() {
+                let ctx = format!("seed {seed}, {partitions} partitions, {} batches, query {i}", cuts.len());
+                let (push, _) = live.snapshot().execute_star(q, StExecution::Pushdown);
+                let (post, _) = live.snapshot().execute_star(q, StExecution::PostFilter);
+                assert_eq!(subject_set(&push), expected[i], "{ctx}: final query vs single-batch load");
+                assert_eq!(subject_set(&post), expected[i], "{ctx}: execution modes agree");
+                let (streamed, backfilled) = drain_subjects(&mut early[i]);
+                assert_eq!(streamed, expected[i], "{ctx}: emissions vs final query");
+                assert_eq!(backfilled, 0, "{ctx}: nothing to backfill on an empty store");
+                let (with_backfill, backfilled) = drain_subjects(&mut late[i]);
+                assert_eq!(with_backfill, expected[i], "{ctx}: late subscriber, backfill + stream");
+                assert_eq!(backfilled, late[i].backfilled, "{ctx}: the handle reports its backfill");
+            }
+        }
+    }
+}
+
+/// The merge rule keeps a partition at O(log batches) runs however long
+/// the stream, and merging never disturbs a pinned snapshot: the runs it
+/// points at stay alive and whole.
+#[test]
+fn segments_stay_logarithmic_and_pinned_snapshots_survive_merges() {
+    const BATCHES: usize = 2_000;
+    let batch = |i: usize| {
+        let node = Term::iri(format!("n:{i}"));
+        let point = GeoPoint::new((i % 97) as f64 * 0.1, (i % 89) as f64 * 0.1);
+        let event = Term::str(if i.is_multiple_of(4) { "turn" } else { "cruise" });
+        let mut triples = anchored_node_triples(
+            &node,
+            &point,
+            Timestamp((i as i64 % 40) * 30_000),
+            &[
+                Triple::new(node.clone(), Term::iri("p:type"), Term::iri("c:Node")),
+                Triple::new(node.clone(), Term::iri("p:event"), event),
+            ],
+        );
+        triples.push(Triple::new(Term::iri(format!("e:{}", i % 7)), Term::iri("p:hasNode"), node));
+        triples
+    };
+    let query = &prop_queries()[0];
+    for partitions in [1usize, 4] {
+        let live = prop_store(partitions);
+        let bound = (partitions * (BATCHES.next_power_of_two().trailing_zeros() as usize + 2)) as u64;
+        let mut pinned = None;
+        let mut most_segments = 0;
+        for i in 0..BATCHES {
+            live.ingest_batch(&batch(i));
+            most_segments = most_segments.max(live.stats().segments);
+            if i == 99 {
+                let snap = live.snapshot();
+                let answer = snap.execute_star(query, StExecution::Pushdown);
+                pinned = Some((snap, answer));
+            }
+        }
+        assert!(
+            most_segments <= bound,
+            "{partitions} partitions: {most_segments} segments after {BATCHES} batches (bound {bound})"
+        );
+        // The snapshot pinned at batch 100 has since seen every one of its
+        // runs merged away underneath it.
+        let (snap, answer) = pinned.expect("pinned at batch 100");
+        assert_eq!(snap.generation().number(), 100);
+        assert_eq!(snap.generation().triple_count(), snap.triple_count(), "pinned runs are whole");
+        assert_eq!(snap.execute_star(query, StExecution::Pushdown), answer, "pinned answer is stable");
+        assert_eq!(answer.0.len(), 25, "i % 4 == 0 in 0..100");
+        let now = live.snapshot();
+        assert_eq!(now.generation().triple_count(), now.triple_count());
+        assert_eq!(now.execute_star(query, StExecution::Pushdown).0.len(), BATCHES / 4);
+    }
+}
+
+/// Satellite regression: `LiveKg::subscribe` used to count its backfill as
+/// the difference of two `stats()` reads around the store call; a `drain`
+/// on another thread emitting matches for an older subscription in between
+/// was counted there and again by the drain itself, so the
+/// `kg.matches_emitted` counter drifted above the store's own total. The
+/// store now reports the backfill it emitted under its writer lock.
+#[test]
+fn subscribing_while_draining_counts_each_match_once() {
+    let input = stream(42);
+    let kg = LiveKg::new(&config(), LiveKgConfig::default());
+    let mut layer = RealTimeLayer::new(config(), Vec::new(), Vec::new());
+    kg.attach(&mut layer);
+    let _first = kg.subscribe(queries().remove(0));
+    // The subscriber registers (and backfills) back to back for as long as
+    // the main thread ingests and drains, so every drain that emits for the
+    // older subscriptions lands beside some `subscribe`. The main thread
+    // holds back two thirds of the stream until the first one is in.
+    let registered = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (kg, done, registered) = (&kg, &done, &registered);
+        let subscriber = s.spawn(move || {
+            while !done.load(Ordering::Acquire) && registered.load(Ordering::Relaxed) < 400 {
+                kg.subscribe(queries().remove(0));
+                registered.fetch_add(1, Ordering::Release);
+            }
+        });
+        for (i, r) in input.iter().enumerate() {
+            while i == input.len() / 3 && registered.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
+            layer.ingest(*r);
+            kg.drain();
+        }
+        layer.flush();
+        kg.drain();
+        done.store(true, Ordering::Release);
+        subscriber.join().expect("subscriber thread");
+    });
+    let stats = kg.stats();
+    assert!(stats.matches_emitted > 0, "the fixture must emit matches");
+    assert_eq!(
+        kg.metrics_snapshot().counter("kg.matches_emitted"),
+        Some(stats.matches_emitted),
+        "the counter and the store agree however subscribe and drain interleave"
+    );
+    assert_eq!(kg.metrics_snapshot().counter("kg.subscriptions"), Some(stats.subscriptions));
 }
