@@ -13,6 +13,17 @@
 //! failed: [`NetClient::finish`] after [`NetClient::flush`] yields output
 //! bit-identical to an uninterrupted run.
 //!
+//! ## Batching on the wire (DESIGN §12.7)
+//!
+//! `send` encodes frames onto one `out` buffer, written with a single
+//! `write_all` and followed by one non-blocking ACK drain when it reaches
+//! [`COALESCE_BYTES`], when the previous socket write is
+//! [`COALESCE_LINGER`] old, or before anything that blocks or ends. A
+//! feeder slower than the linger is therefore write-through, and one that
+//! keeps sending holds no record longer than the linger plus one
+//! inter-arrival gap. A frame in `out` is never the only copy of its
+//! record — the window has it — so a reconnect discards `out` and replays.
+//!
 //! ## Liveness
 //!
 //! Heartbeats flow every `heartbeat_interval`; their echoed nonce feeds
@@ -22,6 +33,7 @@
 //! connections but refuses records keeps the retry rate decaying.
 
 use std::collections::VecDeque;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -30,8 +42,14 @@ use datacron_geo::PositionReport;
 use datacron_obs::{Counter, LogHistogram, ObsRegistry};
 
 use crate::backoff::{Backoff, BackoffConfig};
-use crate::wire::{self, NackReason, WireMsg, PROTOCOL_VERSION};
+use crate::wire::{self, FrameReader, NackReason, WireMsg, PROTOCOL_VERSION};
 use crate::NetError;
+
+/// `out` is written once it holds this many bytes (≈ 90 record frames).
+const COALESCE_BYTES: usize = 8 * 1024;
+/// `out` is written by the first `send` that finds the previous socket
+/// write this old: the hold time batching may add while the feeder sends.
+const COALESCE_LINGER: Duration = Duration::from_millis(1);
 
 /// Tuning for [`NetClient`].
 #[derive(Debug, Clone)]
@@ -96,6 +114,9 @@ pub struct ClientStats {
     pub crc_errors: u64,
     /// Heartbeats sent.
     pub heartbeats: u64,
+    /// Socket writes after the handshake: `(sent + replayed) / writes`
+    /// frames went out per write.
+    pub writes: u64,
 }
 
 /// One live connection's state.
@@ -103,9 +124,10 @@ struct Conn {
     stream: TcpStream,
     /// Per-connection wire frame counter for control messages.
     wire_seq: u64,
-    /// Session sequences below this were already written on *this*
+    /// Session sequences below this were already framed for *this*
     /// connection (replay high-water), so `send` never double-writes.
     sent_up_to: u64,
+    last_write: Instant,
     last_rx: Instant,
     last_hb_sent: Instant,
     outstanding_hb: Option<(u64, Instant)>,
@@ -123,9 +145,14 @@ pub struct NetClient {
     ever_connected: bool,
     backoff: Backoff,
     stats: ClientStats,
-    buf: Vec<u8>,
+    reader: FrameReader,
+    /// Frames encoded for the live connection and not yet written, and
+    /// the payload buffer reused to encode them.
+    out: Vec<u8>,
+    scratch: Vec<u8>,
     hb_nonce: u64,
     reconnects_c: Counter,
+    writes_c: Counter,
     crc_errors_c: Counter,
     backoff_ms_h: LogHistogram,
     rtt_us_h: LogHistogram,
@@ -159,9 +186,12 @@ impl NetClient {
             ever_connected: false,
             backoff,
             stats: ClientStats::default(),
-            buf: Vec::new(),
+            reader: FrameReader::default(),
+            out: Vec::with_capacity(2 * COALESCE_BYTES),
+            scratch: Vec::new(),
             hb_nonce: 0,
             reconnects_c: obs.counter("net.client.reconnects"),
+            writes_c: obs.counter("net.client.writes"),
             crc_errors_c: obs.counter("net.frame.crc_errors"),
             backoff_ms_h: obs.histogram("net.client.backoff_ms"),
             rtt_us_h: obs.histogram("net.client.rtt_us"),
@@ -187,8 +217,14 @@ impl NetClient {
     }
 
     /// Deliver one record. Returns once the record is stamped, windowed
-    /// and written (delivery then survives any number of reconnects);
+    /// and framed (delivery then survives any number of reconnects);
     /// blocks draining ACKs when the window is full.
+    ///
+    /// The frame reaches the socket now if the line was quiet for
+    /// [`COALESCE_LINGER`] or the buffer reached [`COALESCE_BYTES`];
+    /// otherwise with the next client call that writes. A burst's tail of
+    /// under 8 KiB therefore waits for that next call: a feeder going quiet
+    /// calls [`flush`](Self::flush).
     pub fn send(&mut self, report: PositionReport) -> Result<(), NetError> {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -297,6 +333,10 @@ impl NetClient {
         stream.set_read_timeout(Some(self.cfg.read_timeout))?;
         stream.set_write_timeout(Some(self.cfg.write_timeout))?;
 
+        // Bytes buffered from or for the previous connection died with it;
+        // `replay_window` re-frames everything unacknowledged.
+        self.reader = FrameReader::default();
+        self.out.clear();
         let mut wire_seq = 0u64;
         let hello =
             WireMsg::Hello { version: PROTOCOL_VERSION, session_id: self.cfg.session_id };
@@ -305,7 +345,7 @@ impl NetClient {
 
         let deadline = Instant::now() + self.cfg.dead_after;
         loop {
-            match wire::read_msg(&stream, &mut self.buf) {
+            match self.reader.next_msg(&mut &stream) {
                 Ok(Some((_, WireMsg::HelloAck { session_id, ack }))) => {
                     if session_id != self.cfg.session_id {
                         return Err(NetError::Protocol("handshake echoed wrong session"));
@@ -316,6 +356,7 @@ impl NetClient {
                         stream,
                         wire_seq,
                         sent_up_to: 0,
+                        last_write: now,
                         last_rx: now,
                         last_hb_sent: now,
                         outstanding_hb: None,
@@ -343,17 +384,49 @@ impl NetClient {
 
     /// Rewrite every windowed record on the fresh connection, in order.
     fn replay_window(&mut self) -> Result<(), NetError> {
-        let conn = self.conn.as_mut().expect("replay without connection");
-        for (seq, report) in self.window.iter() {
-            let msg = WireMsg::Record { session_seq: *seq, report: *report };
-            wire::write_msg(&mut (&conn.stream), *seq, &msg)?;
+        for i in 0..self.window.len() {
+            let (seq, report) = self.window[i];
+            self.frame_record(seq, report);
             self.stats.replayed += 1;
+            if self.out.len() >= COALESCE_BYTES {
+                self.write_out()?;
+            }
         }
-        conn.sent_up_to = self.next_seq;
+        self.conn.as_mut().expect("replay without connection").sent_up_to = self.next_seq;
+        self.write_out()
+    }
+
+    /// Encode one record frame onto `out`.
+    fn frame_record(&mut self, seq: u64, report: PositionReport) {
+        let msg = WireMsg::Record { session_seq: seq, report };
+        wire::encode_msg_into(seq, &msg, &mut self.scratch, &mut self.out);
+    }
+
+    /// Encode one control frame onto `out` and write everything buffered.
+    fn write_control(&mut self, msg: &WireMsg) -> Result<(), NetError> {
+        let conn = self.conn.as_mut().ok_or(NetError::ConnectionClosed)?;
+        let seq = conn.wire_seq;
+        conn.wire_seq += 1;
+        wire::encode_msg_into(seq, msg, &mut self.scratch, &mut self.out);
+        self.write_out()
+    }
+
+    /// Put `out` on the socket with one `write_all`.
+    fn write_out(&mut self) -> Result<(), NetError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let conn = self.conn.as_mut().ok_or(NetError::ConnectionClosed)?;
+        (&conn.stream).write_all(&self.out)?;
+        self.out.clear();
+        conn.last_write = Instant::now();
+        self.stats.writes += 1;
+        self.writes_c.inc();
         Ok(())
     }
 
-    /// Drain the window below the cap, write the new record, drain ACKs.
+    /// Drain the window below the cap, frame the new record, and — when the
+    /// size or linger rule says so — write the batch and drain ACKs.
     fn send_step(&mut self, seq: u64) -> Result<(), NetError> {
         while self.window.len() > self.cfg.window {
             self.pump(true)?;
@@ -363,26 +436,24 @@ impl NetClient {
             return Ok(());
         }
         let conn = self.conn.as_mut().ok_or(NetError::ConnectionClosed)?;
+        let last_write = conn.last_write;
         if seq >= conn.sent_up_to {
-            // Not covered by this connection's replay: write it now.
-            let front = self.window.front().map(|(s, _)| *s).unwrap_or(self.next_seq);
-            let idx = (seq - front) as usize;
-            let report = self.window[idx].1;
-            let msg = WireMsg::Record { session_seq: seq, report };
-            wire::write_msg(&mut (&conn.stream), seq, &msg)?;
+            // Not covered by this connection's replay: frame it now.
             conn.sent_up_to = seq + 1;
+            let front = self.window.front().map(|(s, _)| *s).unwrap_or(self.next_seq);
+            let report = self.window[(seq - front) as usize].1;
+            self.frame_record(seq, report);
         }
-        self.pump(false)
+        if self.out.len() >= COALESCE_BYTES || last_write.elapsed() >= COALESCE_LINGER {
+            self.write_out()?;
+            self.pump(false)?;
+        }
+        Ok(())
     }
 
     /// Exchange the finish marker and wait for its acknowledgement.
     fn finish_step(&mut self, total: u64) -> Result<(), NetError> {
-        {
-            let conn = self.conn.as_mut().ok_or(NetError::ConnectionClosed)?;
-            let seq = conn.wire_seq;
-            conn.wire_seq += 1;
-            wire::write_msg(&mut (&conn.stream), seq, &WireMsg::Finish { total })?;
-        }
+        self.write_control(&WireMsg::Finish { total })?;
         let deadline = Instant::now() + self.cfg.dead_after;
         loop {
             let res = self.pump(true);
@@ -399,21 +470,21 @@ impl NetClient {
         }
     }
 
-    /// One pump tick: read inbound frames (one blocking read when `block`,
-    /// else a non-blocking drain), then heartbeat and dead-peer checks.
+    /// One pump tick: one socket read (when `block`, `out` is written
+    /// first and the read waits up to the read timeout; else non-blocking)
+    /// and every frame it buffered, then heartbeat and dead-peer checks.
     fn pump(&mut self, block: bool) -> Result<(), NetError> {
-        let mut first = true;
+        if block {
+            self.write_out()?;
+        }
+        let conn = self.conn.as_ref().ok_or(NetError::ConnectionClosed)?;
+        let mut next = if block {
+            self.reader.next_msg(&mut &conn.stream)
+        } else {
+            self.reader.poll_msg(&conn.stream)
+        };
         loop {
-            let res = {
-                let conn = self.conn.as_ref().ok_or(NetError::ConnectionClosed)?;
-                if block && first {
-                    wire::read_msg(&conn.stream, &mut self.buf)
-                } else {
-                    wire::try_read_msg(&conn.stream, &mut self.buf)
-                }
-            };
-            first = false;
-            match res {
+            match next {
                 Ok(Some((_, msg))) => {
                     if let Some(c) = self.conn.as_mut() {
                         c.last_rx = Instant::now();
@@ -428,6 +499,7 @@ impl NetClient {
                 }
                 Err(e) => return Err(e),
             }
+            next = self.reader.buffered_msg();
         }
 
         let conn = self.conn.as_mut().ok_or(NetError::ConnectionClosed)?;
@@ -439,13 +511,11 @@ impl NetClient {
         if conn.last_hb_sent.elapsed() >= self.cfg.heartbeat_interval {
             let nonce = self.hb_nonce;
             self.hb_nonce += 1;
-            let seq = conn.wire_seq;
-            conn.wire_seq += 1;
-            wire::write_msg(&mut (&conn.stream), seq, &WireMsg::Heartbeat { nonce })?;
             let now = Instant::now();
             conn.last_hb_sent = now;
             conn.outstanding_hb = Some((nonce, now));
             self.stats.heartbeats += 1;
+            self.write_control(&WireMsg::Heartbeat { nonce })?;
         }
         Ok(())
     }

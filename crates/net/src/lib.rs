@@ -15,7 +15,8 @@
 //! * [`wire`] — the framed wire protocol. Every message rides in the same
 //!   `[len | crc32 | seq | payload]` frame the write-ahead log uses
 //!   ([`datacron_durability::framing`]), so a bit flip anywhere on the wire
-//!   is detected exactly like a bit flip on disk.
+//!   is detected exactly like a bit flip on disk. Every socket reads
+//!   through one buffered [`wire::FrameReader`].
 //! * [`backoff`] — capped exponential reconnect backoff with deterministic
 //!   seeded jitter: same seed, same delay sequence, every run.
 //! * [`client`] — [`client::NetClient`]: connect/read/write timeouts,
@@ -36,7 +37,8 @@
 //!
 //! Observability flows through [`datacron_obs::ObsRegistry`]
 //! (`net.client.reconnects`, `net.client.backoff_ms`, `net.client.rtt_us`,
-//! `net.server.sessions`, `net.server.nacks`, `net.frame.crc_errors`), and
+//! `net.client.writes`, `net.server.sessions`, `net.server.records`,
+//! `net.server.reads`, `net.server.nacks`, `net.frame.crc_errors`), and
 //! [`NetHealth`] snapshots the server side for `HealthReport`.
 
 pub mod backoff;

@@ -26,10 +26,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use datacron_durability::framing::{declared_payload_len, FRAME_HEADER};
 use datacron_stream::{NetFault, NetFaultPlan, NetFaultSchedule, NetFaultStats};
 
-use crate::wire::MAX_PAYLOAD_BYTES;
+use crate::wire::FrameReader;
 
 /// A running fault-injection proxy. Point the client at
 /// [`local_addr`](Self::local_addr); the proxy forwards to `upstream`.
@@ -189,18 +188,22 @@ fn proxy_conn(
     }
 
     // Client → server: frame-at-a-time with fault decisions.
-    let mut buf = Vec::new();
+    let mut reader = FrameReader::default();
     let mut to = &server;
-    loop {
-        if !read_frame(&client, &stop, &mut buf) {
-            break;
-        }
+    while !stop.load(Ordering::SeqCst) {
+        let frame = match reader.next_frame(&mut &client) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => continue, // read-timeout tick at a frame boundary
+            // The client never emits garbled frames; if one appears, or the
+            // stream ended or stalled mid-frame, drop the link.
+            Err(_) => break,
+        };
         let fault = schedule.lock().unwrap().next_fault();
         let ok = match fault {
-            NetFault::Pass => to.write_all(&buf).is_ok(),
-            NetFault::Duplicate => to.write_all(&buf).is_ok() && to.write_all(&buf).is_ok(),
+            NetFault::Pass => to.write_all(frame).is_ok(),
+            NetFault::Duplicate => to.write_all(frame).is_ok() && to.write_all(frame).is_ok(),
             NetFault::BitFlip { salt } => {
-                let mut bad = buf.clone();
+                let mut bad = frame.to_vec();
                 let region = bad.len() - 8;
                 let idx = 8 + (salt as usize % region);
                 let bit = (salt >> 32) % 8;
@@ -208,14 +211,14 @@ fn proxy_conn(
                 to.write_all(&bad).is_ok()
             }
             NetFault::Truncate { salt } => {
-                let keep = 1 + (salt as usize % (buf.len() - 1));
-                let _ = to.write_all(&buf[..keep]);
+                let keep = 1 + (salt as usize % (frame.len() - 1));
+                let _ = to.write_all(&frame[..keep]);
                 false
             }
             NetFault::Reset => false,
             NetFault::Stall { ms } => {
                 thread::sleep(Duration::from_millis(ms));
-                to.write_all(&buf).is_ok()
+                to.write_all(frame).is_ok()
             }
         };
         if !ok {
@@ -223,41 +226,4 @@ fn proxy_conn(
         }
     }
     kill(&client, &server);
-}
-
-/// Reassemble one frame from the client, tolerating read-timeout ticks.
-/// Returns `false` when the stream ended, garbled, or the proxy stopped.
-fn read_frame(client: &TcpStream, stop: &AtomicBool, buf: &mut Vec<u8>) -> bool {
-    let mut from = client;
-    buf.clear();
-    buf.resize(FRAME_HEADER, 0);
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        match from.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => {
-                filled += n;
-                if filled == FRAME_HEADER && buf.len() == FRAME_HEADER {
-                    match declared_payload_len(buf) {
-                        Some(p) if p <= MAX_PAYLOAD_BYTES => buf.resize(FRAME_HEADER + p, 0),
-                        // The client never emits garbled frames; if one
-                        // appears the stream is broken — drop the link.
-                        _ => return false,
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(_) => return false,
-        }
-    }
-    true
 }

@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,7 @@ use datacron_geo::PositionReport;
 use datacron_obs::{Counter, Gauge, ObsRegistry};
 use datacron_stream::{OverflowPolicy, PublishError, SpaceWaitError, Topic};
 
-use crate::wire::{self, NackReason, WireMsg, PROTOCOL_VERSION};
+use crate::wire::{self, FrameReader, NackReason, WireMsg, PROTOCOL_VERSION};
 use crate::{NetError, NetHealth};
 
 /// Tuning for [`NetServer`].
@@ -48,8 +48,9 @@ pub struct ServerConfig {
     /// Maximum concurrent post-handshake connections; further handshakes
     /// are refused with [`NackReason::SessionLimit`].
     pub max_sessions: usize,
-    /// Send a cumulative [`WireMsg::Ack`] after this many records (and on
-    /// every heartbeat / read lull).
+    /// Send a cumulative [`WireMsg::Ack`] after at most this many records;
+    /// sooner whenever the batch read from the socket is used up (and on
+    /// every heartbeat).
     pub ack_every: u64,
     /// Socket read timeout; also the granularity at which handlers notice
     /// shutdown and idle peers.
@@ -104,6 +105,7 @@ struct NetCounters {
     active: Gauge,
     sessions: Counter,
     records: Counter,
+    reads: Counter,
     duplicates: Counter,
     nacks: Counter,
     crc_errors: Counter,
@@ -115,6 +117,7 @@ impl NetCounters {
             active: obs.gauge("net.server.active_sessions"),
             sessions: obs.counter("net.server.sessions"),
             records: obs.counter("net.server.records"),
+            reads: obs.counter("net.server.reads"),
             duplicates: obs.counter("net.server.duplicates"),
             nacks: obs.counter("net.server.nacks"),
             crc_errors: obs.counter("net.frame.crc_errors"),
@@ -132,6 +135,15 @@ impl Drop for ActiveGuard {
 }
 
 type SessionMap = HashMap<u64, Arc<Mutex<SessionState>>>;
+
+/// Takes a lock's guard whether or not it is poisoned: one handler that
+/// panicked must not turn every later handshake, snapshot and shutdown
+/// into a panic too. Sound because nothing here is left half-updated —
+/// `SessionState` advances only after a successful publish, the session
+/// table and handler list change by single inserts and removals.
+fn relock<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A running ingestion server. Dropping (or [`shutdown`](Self::shutdown))
 /// stops the accept loop and joins every handler thread.
@@ -203,13 +215,13 @@ impl NetServer {
 
     /// Snapshot one session's resume state.
     pub fn session(&self, session_id: u64) -> Option<SessionSnapshot> {
-        let map = self.sessions.lock().unwrap();
+        let map = relock(self.sessions.lock());
         map.get(&session_id).map(|st| snapshot(session_id, st))
     }
 
     /// Snapshot every session ever seen, sorted by id.
     pub fn sessions(&self) -> Vec<SessionSnapshot> {
-        let map = self.sessions.lock().unwrap();
+        let map = relock(self.sessions.lock());
         let mut all: Vec<_> = map.iter().map(|(id, st)| snapshot(*id, st)).collect();
         all.sort_by_key(|s| s.session_id);
         all
@@ -225,7 +237,7 @@ impl NetServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let drained: Vec<_> = self.handlers.lock().unwrap().drain(..).collect();
+        let drained: Vec<_> = relock(self.handlers.lock()).drain(..).collect();
         for h in drained {
             let _ = h.join();
         }
@@ -239,7 +251,7 @@ impl Drop for NetServer {
 }
 
 fn snapshot(session_id: u64, st: &Arc<Mutex<SessionState>>) -> SessionSnapshot {
-    let st = st.lock().unwrap();
+    let st = relock(st.lock());
     SessionSnapshot {
         session_id,
         next_expected: st.next_expected,
@@ -281,7 +293,16 @@ fn accept_loop(
                     handle_conn(stream, config, topic, stop, counters, sessions)
                 });
                 if let Ok(h) = spawned {
-                    handlers.lock().unwrap().push(h);
+                    // Reap handlers that have exited, so a flapping feeder
+                    // does not grow the list by one handle per reconnect.
+                    let mut live = relock(handlers.lock());
+                    let (done, running): (Vec<_>, Vec<_>) =
+                        live.drain(..).partition(JoinHandle::is_finished);
+                    *live = running;
+                    live.push(h);
+                    for finished in done {
+                        let _ = finished.join();
+                    }
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -341,7 +362,7 @@ fn handle_conn(
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
 
-    let mut buf = Vec::new();
+    let mut reader = FrameReader::new(counters.reads.clone());
     let mut wire_seq = 0u64;
     let send = |msg: &WireMsg, wire_seq: &mut u64| -> bool {
         let seq = *wire_seq;
@@ -355,7 +376,7 @@ fn handle_conn(
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match wire::read_msg(&stream, &mut buf) {
+        match reader.next_msg(&mut &stream) {
             Ok(Some((_, WireMsg::Hello { version, session_id }))) => {
                 if version != PROTOCOL_VERSION {
                     counters.nacks.inc();
@@ -379,14 +400,14 @@ fn handle_conn(
     };
 
     let session = {
-        let mut map = sessions.lock().unwrap();
+        let mut map = relock(sessions.lock());
         Arc::clone(map.entry(session_id).or_default())
     };
     counters.sessions.inc();
     counters.active.add(1);
     let _active = ActiveGuard(Arc::clone(&counters));
 
-    let ack0 = session.lock().unwrap().next_expected;
+    let ack0 = relock(session.lock()).next_expected;
     if !send(&WireMsg::HelloAck { session_id, ack: ack0 }, &mut wire_seq) {
         return;
     }
@@ -395,24 +416,17 @@ fn handle_conn(
     let mut last_rx = Instant::now();
     loop {
         if stop.load(Ordering::SeqCst) {
-            let up_to = session.lock().unwrap().next_expected;
+            let up_to = relock(session.lock()).next_expected;
             send(&WireMsg::Ack { up_to }, &mut wire_seq);
             return;
         }
-        let msg = match wire::read_msg(&stream, &mut buf) {
+        // No record waits for its acknowledgement while this waits on the
+        // socket: the record arm acks as soon as the buffered batch is used up.
+        let msg = match reader.next_msg(&mut &stream) {
             Ok(Some((_, msg))) => msg,
             Ok(None) => {
                 if last_rx.elapsed() > config.idle_timeout {
                     return;
-                }
-                // Lull on the wire: flush any pending acknowledgement so
-                // the client's window drains even between batches.
-                if unacked > 0 {
-                    let up_to = session.lock().unwrap().next_expected;
-                    if !send(&WireMsg::Ack { up_to }, &mut wire_seq) {
-                        return;
-                    }
-                    unacked = 0;
                 }
                 continue;
             }
@@ -432,7 +446,7 @@ fn handle_conn(
                 if version != PROTOCOL_VERSION {
                     return;
                 }
-                let ack = session.lock().unwrap().next_expected;
+                let ack = relock(session.lock()).next_expected;
                 if !send(&WireMsg::HelloAck { session_id, ack }, &mut wire_seq) {
                     return;
                 }
@@ -441,7 +455,7 @@ fn handle_conn(
                 // Hold the session lock across check+publish+advance so a
                 // lingering half-dead connection for the same session
                 // cannot interleave and double-publish.
-                let mut st = session.lock().unwrap();
+                let mut st = relock(session.lock());
                 if session_seq < st.next_expected {
                     // Redelivery after resume: drop, re-ack to resync.
                     st.duplicates += 1;
@@ -470,7 +484,10 @@ fn handle_conn(
                             drop(st);
                             counters.records.inc();
                             unacked += 1;
-                            if unacked >= config.ack_every {
+                            // One cumulative ACK per drained batch: when
+                            // the next record would cost a socket read, or
+                            // `ack_every` caps a long buffered run.
+                            if unacked >= config.ack_every || !reader.has_buffered_frame() {
                                 if !send(&WireMsg::Ack { up_to }, &mut wire_seq) {
                                     return;
                                 }
@@ -494,7 +511,7 @@ fn handle_conn(
                 }
             }
             WireMsg::Heartbeat { nonce } => {
-                let up_to = session.lock().unwrap().next_expected;
+                let up_to = relock(session.lock()).next_expected;
                 if !send(&WireMsg::Ack { up_to }, &mut wire_seq) {
                     return;
                 }
@@ -504,7 +521,7 @@ fn handle_conn(
                 }
             }
             WireMsg::Finish { total } => {
-                let mut st = session.lock().unwrap();
+                let mut st = relock(session.lock());
                 if st.next_expected == total {
                     st.finished = Some(total);
                     drop(st);
@@ -528,5 +545,78 @@ fn handle_conn(
             // Server-bound protocol only; anything else is a violation.
             _ => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClientConfig, NetClient};
+    use datacron_geo::{EntityId, GeoPoint, Timestamp};
+
+    fn report(i: i64) -> PositionReport {
+        PositionReport::basic(EntityId::vessel(1), Timestamp::from_secs(i), GeoPoint::new(1.0, 40.0))
+    }
+
+    fn client_config(server: &NetServer, session_id: u64) -> ClientConfig {
+        let mut cfg = ClientConfig::new(server.local_addr().to_string(), session_id);
+        cfg.backoff.base = Duration::from_millis(1);
+        cfg.backoff.cap = Duration::from_millis(10);
+        cfg
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_as_connections_come_and_go() {
+        let topic: Arc<Topic<PositionReport>> = Topic::new("net.reap");
+        let _consumer = topic.consumer();
+        let obs = ObsRegistry::disabled();
+        let server = NetServer::bind("127.0.0.1:0", ServerConfig::default(), topic, &obs).unwrap();
+        let mut most = 0;
+        for session_id in 0..50 {
+            let mut client = NetClient::connect(client_config(&server, session_id), &obs).unwrap();
+            client.send(report(0)).unwrap();
+            client.finish().unwrap();
+            most = most.max(relock(server.handlers.lock()).len());
+        }
+        // A handler may still be exiting when the next connection is
+        // accepted; fifty of them may not pile up.
+        assert!(most <= 8, "{most} handles held after sequential connections");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_session_lock_does_not_end_the_session() {
+        let topic: Arc<Topic<PositionReport>> = Topic::new("net.poison");
+        let mut consumer = topic.consumer();
+        let obs = ObsRegistry::disabled();
+        let server = NetServer::bind("127.0.0.1:0", ServerConfig::default(), topic, &obs).unwrap();
+        let mut client = NetClient::connect(client_config(&server, 9), &obs).unwrap();
+        for i in 0..5 {
+            client.send(report(i)).unwrap();
+        }
+        client.flush().unwrap();
+
+        // A handler thread dies holding the session lock.
+        let session = Arc::clone(&relock(server.sessions.lock())[&9]);
+        let poisoner = thread::spawn(move || {
+            let _held = session.lock().unwrap();
+            panic!("poison the session lock");
+        });
+        assert!(poisoner.join().is_err());
+
+        // Snapshots still work, and a later connection of the same session
+        // handshakes and resumes at the watermark.
+        assert_eq!(server.session(9).unwrap().next_expected, 5);
+        client.sever_connection();
+        for i in 5..10 {
+            client.send(report(i)).unwrap();
+        }
+        let stats = client.finish().unwrap();
+        assert!(stats.reconnects >= 1);
+        assert_eq!(stats.acked, 10);
+        let snap = server.session(9).unwrap();
+        assert_eq!((snap.next_expected, snap.duplicates, snap.finished), (10, 0, Some(10)));
+        assert_eq!(consumer.drain().unwrap(), (0..10).map(report).collect::<Vec<_>>());
+        server.shutdown();
     }
 }

@@ -20,11 +20,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 
-use datacron_durability::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+use datacron_durability::codec::{self, ByteReader, ByteWriter, CodecError, Decode, Encode};
 use datacron_durability::framing::{self, FrameParse, FRAME_HEADER};
 use datacron_durability::{decode_from_slice, encode_to_vec};
 use datacron_geo::PositionReport;
+use datacron_obs::Counter;
 
 use crate::NetError;
 
@@ -40,6 +42,10 @@ pub const MAX_PAYLOAD_BYTES: usize = 1 << 20;
 /// connection is declared stalled. Each retry waits the socket's read
 /// timeout, so the total stall budget is `MID_FRAME_RETRIES × read_timeout`.
 const MID_FRAME_RETRIES: u32 = 50;
+
+/// Size of a [`FrameReader`]'s buffer: what one `read` can drain from a
+/// socket. Eight of the feeder's coalesced writes.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// Why a server refused a record or a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,99 +251,149 @@ pub fn decode_frame(buf: &[u8]) -> Result<(u64, WireMsg), NetError> {
     }
 }
 
-/// Read one framed message under the socket's read timeout.
-///
-/// `Ok(None)` means the timeout elapsed with **zero** bytes read — the
-/// stream is still frame-aligned and the caller may simply try again
-/// (this is how handlers notice shutdown flags and idle peers). Once a
-/// frame has started arriving it is read to completion, tolerating up to
-/// [`MID_FRAME_RETRIES`] further timeouts before declaring a stall.
-pub fn read_msg(stream: &TcpStream, buf: &mut Vec<u8>) -> Result<Option<(u64, WireMsg)>, NetError> {
-    if read_frame_bytes(stream, buf, false)? {
-        decode_frame(buf).map(Some)
-    } else {
-        Ok(None)
-    }
+/// Append `msg` as one frame to `out` without allocating, its payload
+/// encoded through the reused `scratch`. Byte-identical to [`encode_msg`].
+pub fn encode_msg_into(wire_seq: u64, msg: &WireMsg, scratch: &mut Vec<u8>, out: &mut Vec<u8>) {
+    codec::encode_into(msg, scratch);
+    framing::encode_frame_into(wire_seq, scratch, out);
 }
 
-/// Like [`read_msg`] but non-blocking until the first byte: returns
-/// `Ok(None)` immediately when no frame is pending. Used by the client to
-/// drain ACKs opportunistically between sends without paying the read
-/// timeout on every record.
-pub fn try_read_msg(
-    stream: &TcpStream,
-    buf: &mut Vec<u8>,
-) -> Result<Option<(u64, WireMsg)>, NetError> {
-    if read_frame_bytes(stream, buf, true)? {
-        decode_frame(buf).map(Some)
-    } else {
-        Ok(None)
-    }
+/// The one frame-reassembly loop, used by server, client and proxy: a
+/// buffer filled by **one `read` per socket drain**, its frames validated
+/// and parsed in place, so a peer that coalesces writes costs its receiver
+/// one syscall per batch instead of two per frame. The buffer outgrows
+/// [`READ_BUF_BYTES`] only to hold one frame whose declared size passed the
+/// [`MAX_PAYLOAD_BYTES`] check.
+#[derive(Default)]
+pub struct FrameReader {
+    /// `buf[start..end]` holds the bytes received and not yet consumed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    reads: Counter,
 }
 
-/// Fill `buf` with exactly one frame. `probe` starts the read
-/// non-blocking; blocking mode is always restored before returning.
-fn read_frame_bytes(stream: &TcpStream, buf: &mut Vec<u8>, probe: bool) -> Result<bool, NetError> {
-    if probe {
+impl FrameReader {
+    /// A reader counting on `reads` its socket reads that moved bytes.
+    pub fn new(reads: Counter) -> Self {
+        Self { reads, ..Self::default() }
+    }
+
+    /// Whether a whole frame (by its declared length; the CRC is checked
+    /// when it is taken) is buffered, i.e. the next message costs no read.
+    pub fn has_buffered_frame(&self) -> bool {
+        let pending = &self.buf[self.start..self.end];
+        framing::declared_payload_len(pending).is_some_and(|p| pending.len() >= FRAME_HEADER + p)
+    }
+
+    /// The next message if it is already buffered; never touches a socket.
+    pub fn buffered_msg(&mut self) -> Result<Option<(u64, WireMsg)>, NetError> {
+        self.take_buffered()?.map(|span| self.decode(span)).transpose()
+    }
+
+    /// The next message, reading from `r` under its read timeout when none
+    /// is buffered. `Ok(None)` means the timeout elapsed with **no partial
+    /// frame** buffered — the stream is frame-aligned and the caller may
+    /// simply try again (this is how handlers notice shutdown flags and
+    /// idle peers). Once a frame has started arriving it is read to
+    /// completion, tolerating up to [`MID_FRAME_RETRIES`] further timeouts
+    /// before declaring a stall.
+    pub fn next_msg<R: Read>(&mut self, r: &mut R) -> Result<Option<(u64, WireMsg)>, NetError> {
+        self.next_span(r)?.map(|span| self.decode(span)).transpose()
+    }
+
+    /// Like [`next_msg`](Self::next_msg) but yields the validated frame's
+    /// raw bytes (the fault proxy forwards or damages them undecoded).
+    pub fn next_frame<R: Read>(&mut self, r: &mut R) -> Result<Option<&[u8]>, NetError> {
+        Ok(self.next_span(r)?.map(|(_, frame)| &self.buf[frame]))
+    }
+
+    /// Like [`next_msg`](Self::next_msg) but never waits: at most one
+    /// non-blocking read, a partial frame staying buffered for the next
+    /// call. The client drains ACKs with it after a coalesced write; the
+    /// only place a socket's mode is toggled.
+    pub fn poll_msg(&mut self, stream: &TcpStream) -> Result<Option<(u64, WireMsg)>, NetError> {
+        if let Some(found) = self.buffered_msg()? {
+            return Ok(Some(found));
+        }
         stream.set_nonblocking(true)?;
-    }
-    let mut nonblocking = probe;
-    let result = read_frame_inner(stream, buf, &mut nonblocking);
-    if nonblocking {
+        let filled = self.fill(&mut &*stream);
         // Restore blocking mode even on the error paths; an error here is
         // subordinate to the read result.
         let _ = stream.set_nonblocking(false);
+        filled?;
+        self.buffered_msg()
     }
-    result
-}
 
-fn read_frame_inner(
-    stream: &TcpStream,
-    buf: &mut Vec<u8>,
-    nonblocking: &mut bool,
-) -> Result<bool, NetError> {
-    let mut r = stream;
-    buf.clear();
-    buf.resize(FRAME_HEADER, 0);
-    let mut filled = 0usize;
-    let mut stalls = 0u32;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Err(NetError::ConnectionClosed),
-            Ok(n) => {
-                filled += n;
-                if *nonblocking {
-                    // A frame has started: finish it under the blocking
-                    // read timeout instead of spinning on WouldBlock.
-                    stream.set_nonblocking(false)?;
-                    *nonblocking = false;
-                }
-                if filled == FRAME_HEADER && buf.len() == FRAME_HEADER {
-                    let payload_len =
-                        framing::declared_payload_len(buf).ok_or(NetError::CorruptFrame)?;
-                    if payload_len > MAX_PAYLOAD_BYTES {
-                        return Err(NetError::CorruptFrame);
-                    }
-                    buf.resize(FRAME_HEADER + payload_len, 0);
-                }
+    fn next_span<R: Read>(&mut self, r: &mut R) -> Result<Option<(u64, Range<usize>)>, NetError> {
+        let mut stalls = 0u32;
+        loop {
+            if let Some(span) = self.take_buffered()? {
+                return Ok(Some(span));
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 {
-                    return Ok(false);
+            if !self.fill(r)? {
+                if self.start == self.end {
+                    return Ok(None);
                 }
                 stalls += 1;
                 if stalls > MID_FRAME_RETRIES {
                     return Err(NetError::Timeout);
                 }
             }
-            Err(e) => return Err(NetError::Io(e)),
         }
     }
-    Ok(true)
+
+    /// Validate and consume the frame at the front of the buffer.
+    fn take_buffered(&mut self) -> Result<Option<(u64, Range<usize>)>, NetError> {
+        match framing::parse_frame(&self.buf[self.start..self.end]) {
+            FrameParse::Complete(f) => {
+                let frame = self.start..self.start + f.size;
+                self.start = frame.end;
+                Ok(Some((f.seq, frame)))
+            }
+            FrameParse::Corrupt => Err(NetError::CorruptFrame),
+            FrameParse::Incomplete => Ok(None),
+        }
+    }
+
+    /// Decode the payload of a frame `take_buffered` validated.
+    fn decode(&self, (seq, frame): (u64, Range<usize>)) -> Result<(u64, WireMsg), NetError> {
+        Ok((seq, decode_from_slice(&self.buf[frame][FRAME_HEADER..])?))
+    }
+
+    /// One `read` into the free tail; `Ok(false)` when it timed out or would
+    /// block. Called only when the front frame is incomplete, so the bytes
+    /// moved to the buffer's start are less than one frame.
+    fn fill<R: Read>(&mut self, r: &mut R) -> Result<bool, NetError> {
+        let pending = self.end - self.start;
+        let need = match framing::declared_payload_len(&self.buf[self.start..self.end]) {
+            Some(payload) if payload <= MAX_PAYLOAD_BYTES => FRAME_HEADER + payload,
+            None if pending < 4 => FRAME_HEADER,
+            // A `len` field above the cap or below the minimum: corruption,
+            // never an allocation hint.
+            _ => return Err(NetError::CorruptFrame),
+        };
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, pending);
+        if need > self.buf.len() {
+            self.buf.resize(need.max(READ_BUF_BYTES), 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(NetError::ConnectionClosed),
+                Ok(n) => {
+                    self.end += n;
+                    self.reads.inc();
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                    return Ok(false)
+                }
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Loopback integration tests for the wire protocol: clean round trips,
-//! admission control per overflow policy, dead-peer handling and session
-//! resume across a killed connection.
+//! admission control per overflow policy, dead-peer handling, session
+//! resume across a killed connection, and the batching contract (coalesced
+//! writes on the feeder, one cumulative ACK per drained batch).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use datacron_geo::{EntityId, GeoPoint, PositionReport, Timestamp};
 use datacron_net::{
@@ -180,5 +181,119 @@ fn server_survives_shutdown_with_live_client() {
     client.send(report(1, 0)).unwrap();
     client.flush().unwrap();
     // Shutdown with the client still attached must join promptly.
+    server.shutdown();
+}
+
+#[test]
+fn short_tail_is_acked_without_waiting_out_the_read_timeout() {
+    // Five records against `ack_every: 1_000`: only the ACK-per-drained-batch
+    // rule can acknowledge them before the server's 2 s read timeout.
+    let topic: Arc<Topic<PositionReport>> = Topic::new("net.tail");
+    let _consumer = topic.consumer();
+    let obs = ObsRegistry::disabled();
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(2),
+        ack_every: 1_000,
+        ..ServerConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", config, Arc::clone(&topic), &obs).unwrap();
+    let mut cfg = fast_client(server.local_addr().to_string(), 5);
+    // No heartbeat inside the test either: the server acks on those too.
+    cfg.heartbeat_interval = Duration::from_secs(10);
+    cfg.dead_after = Duration::from_secs(10);
+    let mut client = NetClient::connect(cfg, &obs).unwrap();
+
+    let t0 = Instant::now();
+    for i in 0..5 {
+        client.send(report(4, i)).unwrap();
+    }
+    client.flush().unwrap();
+    let took = t0.elapsed();
+    assert_eq!(client.window_len(), 0);
+    assert!(took < Duration::from_millis(500), "flush of a 5-record tail took {took:?}");
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_send_on_a_quiet_line_is_written_through() {
+    let topic: Arc<Topic<PositionReport>> = Topic::new("net.quiet");
+    let mut consumer = topic.consumer();
+    let obs = ObsRegistry::new();
+    let server = NetServer::bind("127.0.0.1:0", fast_server(), Arc::clone(&topic), &obs).unwrap();
+    let mut client =
+        NetClient::connect(fast_client(server.local_addr().to_string(), 21), &obs).unwrap();
+
+    // The idle gap under test: far longer than the 1 ms coalescing linger.
+    std::thread::sleep(Duration::from_millis(20));
+    client.send(report(6, 0)).unwrap();
+    // No further client call: the record must already be on its way.
+    let got = consumer.poll_wait(1, Duration::from_secs(2)).unwrap();
+    assert_eq!(got, vec![report(6, 0)]);
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_small_burst_then_flush_is_fully_acknowledged() {
+    let topic: Arc<Topic<PositionReport>> = Topic::new("net.burst");
+    let mut consumer = topic.consumer();
+    let obs = ObsRegistry::new();
+    let server = NetServer::bind("127.0.0.1:0", fast_server(), Arc::clone(&topic), &obs).unwrap();
+    let mut client =
+        NetClient::connect(fast_client(server.local_addr().to_string(), 22), &obs).unwrap();
+
+    // 40 records are ~3.6 KB: under the 8 KiB write threshold.
+    let sent: Vec<PositionReport> = (0..40).map(|i| report(7, i)).collect();
+    for r in &sent {
+        client.send(*r).unwrap();
+    }
+    client.flush().unwrap();
+    assert_eq!(client.window_len(), 0);
+    let stats = client.stats();
+    assert_eq!((stats.sent, stats.acked), (40, 40));
+    assert_eq!(consumer.drain().unwrap(), sent);
+
+    // Frames per write and per read come out of one metrics snapshot.
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("net.client.writes"), Some(stats.writes));
+    assert!(stats.writes < 40, "a burst must not cost one write per record: {stats:?}");
+    let reads = snap.counter("net.server.reads").unwrap();
+    assert!((1..=41).contains(&reads), "41 frames (Hello + 40 records) in {reads} reads");
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn frames_still_buffered_at_a_kill_are_replayed_exactly_once() {
+    let topic: Arc<Topic<PositionReport>> = Topic::new("net.buffered");
+    let mut consumer = topic.consumer();
+    let obs = ObsRegistry::new();
+    let server = NetServer::bind("127.0.0.1:0", fast_server(), Arc::clone(&topic), &obs).unwrap();
+    let mut client =
+        NetClient::connect(fast_client(server.local_addr().to_string(), 23), &obs).unwrap();
+
+    // Send until a record is left sitting in the write buffer (a send that
+    // caused no socket write), then cut the link under it.
+    let mut sent = Vec::new();
+    loop {
+        let writes = client.stats().writes;
+        sent.push(report(8, sent.len() as u64));
+        client.send(*sent.last().unwrap()).unwrap();
+        if client.stats().writes == writes {
+            break;
+        }
+        assert!(sent.len() < 10_000, "no send was ever coalesced");
+    }
+    client.sever_connection();
+    for _ in 0..100 {
+        sent.push(report(8, sent.len() as u64));
+        client.send(*sent.last().unwrap()).unwrap();
+    }
+    let stats = client.finish().unwrap();
+    assert_eq!(stats.sent, sent.len() as u64);
+    assert_eq!(stats.acked, stats.sent);
+    assert!(stats.reconnects >= 1, "the kill must have forced a reconnect");
+    assert_eq!(consumer.drain().unwrap(), sent, "buffered frames live in the window: no loss, no double publish");
     server.shutdown();
 }
