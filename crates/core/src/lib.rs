@@ -64,7 +64,7 @@ pub use realtime::{
     ComponentStatus, DeadLetter, EntityHealth, HealthReport, IngestOutput, LayerState,
     RealTimeLayer, RejectReason, SupervisionConfig,
 };
-pub use sharded::{RealTimeShard, ShardOutput, ShardedRealTimeLayer, ShardedShutdown};
+pub use sharded::{ShardOutput, ShardedRealTimeLayer, ShardedShutdown};
 pub use spill::{SpillStats, SpillStore};
 pub use system::{DatacronSystem, SituationPicture};
 // Re-export so `HealthReport::net` consumers need no direct dependency on

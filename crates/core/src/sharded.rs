@@ -31,8 +31,8 @@
 //! ## Elastic re-sharding
 //!
 //! The shard count is **not** fixed for the layer's lifetime:
-//! [`resize`](ShardedRealTimeLayer::resize) drains a consistent cut
-//! through the checkpoint barrier, re-partitions the per-entity
+//! [`resize`](ShardedRealTimeLayer::resize) checkpoints every shard at a
+//! consistent cut ([`ShardedExecutor::at_cut`]), re-partitions the per-entity
 //! [`LayerState`] onto a fresh fleet under a new routing epoch
 //! ([`repartition_states`]), and resumes — without dropping, duplicating
 //! or reordering a record relative to a run that used the new shard count
@@ -80,65 +80,24 @@ impl ShardOutput {
     }
 }
 
-/// One shard of the real-time layer: a complete [`RealTimeLayer`] over the
+/// One shard of the sharded layer is a complete [`RealTimeLayer`] over the
 /// partition of entities routed to it.
-pub struct RealTimeShard {
-    layer: RealTimeLayer,
-}
-
-impl RealTimeShard {
-    /// The shard's layer.
-    pub fn layer(&self) -> &RealTimeLayer {
-        &self.layer
-    }
-
-    /// Unwraps the shard into its layer.
-    pub fn into_inner(self) -> RealTimeLayer {
-        self.layer
-    }
-}
-
-impl ShardStage for RealTimeShard {
+impl ShardStage for RealTimeLayer {
     type In = PositionReport;
     type Out = ShardOutput;
-    type Flush = Vec<CriticalPoint>;
-    type Snapshot = HealthReport;
-    type Checkpoint = LayerState;
-    type Metrics = MetricsSnapshot;
-
-    fn on_record(&mut self, report: PositionReport) -> ShardOutput {
-        let output = self.layer.ingest(report);
-        ShardOutput { report, output }
-    }
 
     fn on_batch(&mut self, inputs: &mut Vec<PositionReport>, out: &mut Vec<ShardOutput>) {
         // Batched hot path: one deferred-publish flush per run instead of
         // per-record topic locks. Bit-identical to per-record ingest (the
         // layer's batch-equivalence contract), so the executor's merge
         // still reproduces the single-threaded output stream exactly.
-        let outputs = self.layer.ingest_batch(inputs.iter().copied());
+        let outputs = self.ingest_batch(inputs.iter().copied());
         out.extend(
             inputs
                 .drain(..)
                 .zip(outputs)
                 .map(|(report, output)| ShardOutput { report, output }),
         );
-    }
-
-    fn on_flush(&mut self) -> Vec<CriticalPoint> {
-        self.layer.flush()
-    }
-
-    fn snapshot(&self) -> HealthReport {
-        self.layer.health()
-    }
-
-    fn checkpoint(&self) -> LayerState {
-        self.layer.checkpoint_state()
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.layer.metrics_snapshot()
     }
 }
 
@@ -228,7 +187,7 @@ pub struct ResizeReport {
     /// Merged outputs drained at the boundary and buffered for the next
     /// [`poll_outputs`](ShardedRealTimeLayer::poll_outputs).
     pub carried_outputs: usize,
-    /// Wall-clock pause: barrier + migration + re-spawn.
+    /// Wall-clock pause: cut + migration + re-spawn.
     pub duration: Duration,
 }
 
@@ -409,8 +368,9 @@ struct EpochTotals {
 /// elastic: see [`resize`](Self::resize) and
 /// [`maybe_rebalance`](Self::maybe_rebalance).
 pub struct ShardedRealTimeLayer {
-    /// `None` only transiently inside a resize.
-    exec: Option<ShardedExecutor<RealTimeShard>>,
+    /// `None` only transiently, while the first fleet spawns or a resize
+    /// swaps fleets.
+    exec: Option<ShardedExecutor<RealTimeLayer>>,
     /// Live KG draining every shard's `triples` topic; `None` unless built
     /// via [`with_live_kg`](Self::with_live_kg).
     kg: Option<Arc<LiveKg>>,
@@ -471,7 +431,7 @@ impl ShardedRealTimeLayer {
     /// Like [`new`](Self::new), but with the live knowledge-graph
     /// subsystem attached: every shard's `triples` topic is re-bounded
     /// (blocking backpressure, never silent loss) and drained into one
-    /// shared [`LiveKg`] at the layer's barrier points
+    /// shared [`LiveKg`] whenever the layer hands back control
     /// ([`poll_outputs`](Self::poll_outputs), [`flush`](Self::flush),
     /// [`health`](Self::health), [`metrics`](Self::metrics),
     /// [`checkpoint`](Self::checkpoint), [`finish`](Self::finish)).
@@ -537,8 +497,6 @@ impl ShardedRealTimeLayer {
                 });
             }
         }
-        let assigner = ShardAssigner::new(options.shards);
-        let exec = Self::spawn(&config, &regions, &ports, &options, assigner, 0, &setup, states);
         let obs = if options.metrics { ObsRegistry::new() } else { ObsRegistry::disabled() };
         let resize_epoch_gauge = obs.gauge("exec.resize.epoch");
         let resize_shards_gauge = obs.gauge("exec.resize.shards");
@@ -546,8 +504,8 @@ impl ShardedRealTimeLayer {
         let resize_count_gauge = obs.gauge("exec.resize.count");
         let resize_ns = obs.histogram("exec.resize.ns");
         resize_shards_gauge.set(options.shards as i64);
-        Ok(Self {
-            exec: Some(exec),
+        let mut layer = Self {
+            exec: None,
             kg: None,
             config,
             regions,
@@ -566,46 +524,44 @@ impl ShardedRealTimeLayer {
             resize_migrated_gauge,
             resize_count_gauge,
             resize_ns,
-        })
+        };
+        let assigner = ShardAssigner::new(layer.options.shards);
+        layer.exec = Some(layer.spawn(assigner, 0, states));
+        Ok(layer)
     }
 
     /// Spawns one epoch's worker fleet: fresh layers, the stored setup,
     /// then (on the restore path) one migrated state per shard. `make`
     /// runs on the caller's thread, so restores complete before this
     /// returns.
-    #[allow(clippy::too_many_arguments)]
     fn spawn(
-        config: &DatacronConfig,
-        regions: &[(u64, Polygon)],
-        ports: &[(u64, GeoPoint)],
-        options: &ShardedConfig,
+        &self,
         assigner: ShardAssigner,
         epoch: u64,
-        setup: &SetupFn,
         states: Option<Vec<LayerState>>,
-    ) -> ShardedExecutor<RealTimeShard> {
-        let mut options = options.clone();
-        options.shards = assigner.shards();
+    ) -> ShardedExecutor<RealTimeLayer> {
+        let options = ShardedConfig { shards: assigner.shards(), ..self.options.clone() };
         let slots = states
             .map(|s| RefCell::new(s.into_iter().map(Some).collect::<Vec<Option<LayerState>>>()));
         ShardedExecutor::with_assigner(options, assigner, epoch, |shard| {
-            let mut layer = RealTimeLayer::new(config.clone(), regions.to_vec(), ports.to_vec());
-            setup(&mut layer);
+            let mut layer =
+                RealTimeLayer::new(self.config.clone(), self.regions.clone(), self.ports.clone());
+            (self.setup)(&mut layer);
             if let Some(slots) = &slots {
                 let state = slots.borrow_mut()[shard as usize]
                     .take()
                     .expect("one state per shard, used once");
                 layer.restore_state(state);
             }
-            RealTimeShard { layer }
+            layer
         })
     }
 
-    fn exec_ref(&self) -> &ShardedExecutor<RealTimeShard> {
+    fn exec_ref(&self) -> &ShardedExecutor<RealTimeLayer> {
         self.exec.as_ref().expect("executor live outside resize")
     }
 
-    fn exec_mut(&mut self) -> &mut ShardedExecutor<RealTimeShard> {
+    fn exec_mut(&mut self) -> &mut ShardedExecutor<RealTimeLayer> {
         self.exec.as_mut().expect("executor live outside resize")
     }
 
@@ -697,15 +653,27 @@ impl ShardedRealTimeLayer {
         }
     }
 
-    /// End-of-stream flush barrier: every shard finishes its queued
+    /// Settles the pipeline when a live KG is attached: a bare cut
+    /// processes every queued record and publishes its triples, and the
+    /// drain moves them into the KG — so a snapshot taken next sees
+    /// `triples.consumed == published`, like a single-threaded
+    /// drain-per-ingest run at the same point in the stream.
+    fn settle_kg(&mut self) {
+        if self.kg.is_some() {
+            self.exec_mut().at_cut(|_, _| ());
+            self.drain_kg();
+        }
+    }
+
+    /// End-of-stream flush at a cut: every shard finishes its queued
     /// records and flushes its synopses. The per-shard flushes are merged
     /// by entity id, reproducing the single-threaded
     /// [`RealTimeLayer::flush`] output exactly.
     pub fn flush(&mut self) -> Vec<CriticalPoint> {
         let mut all: Vec<CriticalPoint> =
-            self.exec_mut().flush_all().into_iter().flatten().collect();
-        // The flush barrier published every trailing triple; move them
-        // into the live KG before handing control back.
+            self.exec_mut().at_cut(|_, layer| layer.flush()).into_iter().flatten().collect();
+        // The flush published every trailing triple; move them into the
+        // live KG before handing control back.
         self.drain_kg();
         // Entities are disjoint across shards and each shard flushes its
         // own in sorted order, so a stable sort by entity reproduces the
@@ -714,29 +682,18 @@ impl ShardedRealTimeLayer {
         all
     }
 
-    /// Snapshot barrier: every shard finishes its queued records and
+    /// Health at a cut: every shard finishes its queued records and
     /// reports health; the reports are merged into one layer-wide view.
     pub fn health(&mut self) -> HealthReport {
-        if self.kg.is_some() {
-            // First barrier: every queued record is processed and its
-            // triples published. Drain, then snapshot again so consumed
-            // counters match a single-threaded drain-per-ingest run.
-            let _ = self.exec_mut().snapshot_all();
-            self.drain_kg();
-        }
-        let mut merged = merge_health(&self.exec_mut().snapshot_all());
+        self.settle_kg();
+        let mut merged = merge_health(&self.exec_mut().at_cut(|_, layer| layer.health()));
         if let Some(kg) = &self.kg {
             merged = merged.with_kg(kg.health());
         }
         merged
     }
 
-    /// Per-shard health reports, in shard order (snapshot barrier).
-    pub fn health_by_shard(&mut self) -> Vec<HealthReport> {
-        self.exec_mut().snapshot_all()
-    }
-
-    /// Metrics barrier: every shard finishes its queued records and
+    /// Metrics at a cut: every shard finishes its queued records and
     /// snapshots its instruments; the per-shard snapshots and the
     /// executor's own (queue depths, per-shard routed loads, merge
     /// occupancy, submit→merge latency, resize series) merge into one
@@ -747,15 +704,9 @@ impl ShardedRealTimeLayer {
     /// the contract is never diluted; lifetime totals live in
     /// [`ShardedShutdown`] and health.)
     pub fn metrics(&mut self) -> MetricsSnapshot {
-        if self.kg.is_some() {
-            // Same two-step as `health`: settle the pipeline, drain the
-            // triples, then snapshot — `topic.triples.consumed` equals a
-            // single-threaded run's at the same point in the stream.
-            let _ = self.exec_mut().metrics_all();
-            self.drain_kg();
-        }
+        self.settle_kg();
         let mut merged = MetricsSnapshot::new();
-        for snap in self.exec_mut().metrics_all() {
+        for snap in self.exec_mut().at_cut(|_, layer| layer.metrics_snapshot()) {
             merged.merge(&snap);
         }
         merged.merge(&self.exec_ref().obs_snapshot());
@@ -766,26 +717,19 @@ impl ShardedRealTimeLayer {
         merged
     }
 
-    /// Per-shard metrics snapshots, in shard order (metrics barrier). The
-    /// executor's own instruments are not included; see
-    /// [`metrics`](Self::metrics) for the merged fleet view.
-    pub fn metrics_by_shard(&mut self) -> Vec<MetricsSnapshot> {
-        self.exec_mut().metrics_all()
-    }
-
-    /// Checkpoint barrier: every shard finishes its queued records and
+    /// Checkpoint at a cut: every shard finishes its queued records and
     /// captures its complete durable state. The returned states (shard
     /// order) form a consistent cut — every record ingested before the
     /// call is reflected, none after — and feed
     /// [`with_states`](Self::with_states) to resume a run.
     pub fn checkpoint(&mut self) -> Vec<LayerState> {
-        let states = self.exec_mut().checkpoint_all();
+        let states = self.exec_mut().at_cut(|_, layer| layer.checkpoint_state());
         self.drain_kg();
         states
     }
 
-    /// Live resize to `new_shards` workers: drains a consistent cut
-    /// through the checkpoint barrier, re-partitions every entity's state
+    /// Live resize to `new_shards` workers: checkpoints every shard at a
+    /// consistent cut, re-partitions every entity's state
     /// onto a fresh fleet ([`repartition_states`]), re-routes the
     /// [`ShardAssigner`] and resumes under the next routing epoch. The
     /// output stream is unaffected: no record is dropped, duplicated or
@@ -858,13 +802,10 @@ impl ShardedRealTimeLayer {
         // 1. Settle + final drain of the outgoing epoch's triples, so the
         //    cut below checkpoints empty triples topics (drained triples
         //    must not re-materialize — the KG would double-ingest them).
-        if self.kg.is_some() {
-            let _ = self.exec_mut().snapshot_all();
-            self.drain_kg();
-        }
+        self.settle_kg();
         // 2. Consistent cut: every record ingested so far is reflected.
-        let states = self.exec_mut().checkpoint_all();
-        // 3. Teardown. The barrier already merged everything, so finish()
+        let states = self.exec_mut().at_cut(|_, layer| layer.checkpoint_state());
+        // 3. Teardown. The cut already merged everything, so finish()
         //    returns immediately; its outputs joined the carried buffer and
         //    its totals the lifetime accumulators.
         let run = self.exec.take().expect("executor live outside resize").finish();
@@ -886,16 +827,7 @@ impl ShardedRealTimeLayer {
         }
         // 6. Re-spawn under the next epoch, restoring the migrated states.
         let epoch = self.epoch + 1;
-        self.exec = Some(Self::spawn(
-            &self.config,
-            &self.regions,
-            &self.ports,
-            &self.options,
-            assigner,
-            epoch,
-            &self.setup,
-            Some(new_states),
-        ));
+        self.exec = Some(self.spawn(assigner, epoch, Some(new_states)));
         self.options.shards = new_shards;
         self.epoch = epoch;
         self.resizes += 1;
@@ -927,8 +859,7 @@ impl ShardedRealTimeLayer {
     /// and `duplicates == 0` unless a worker died (which panics instead).
     pub fn finish(mut self) -> ShardedShutdown {
         let run = self.exec.take().expect("executor live outside resize").finish();
-        let layers: Vec<RealTimeLayer> =
-            run.stages.into_iter().map(RealTimeShard::into_inner).collect();
+        let layers = run.stages;
         // Workers are done: one final drain moves every remaining triple
         // into the live KG before health is computed from the layers.
         if let Some(kg) = &self.kg {

@@ -93,8 +93,8 @@ pub struct CleanerState {
     pub stats: CleaningStats,
 }
 
-/// Per-entity cleaning operator. Use one instance per entity (e.g. inside a
-/// `KeyedOperator`).
+/// Per-entity cleaning operator. Use one instance per entity (the real-time
+/// layer keeps one in each entity's state).
 #[derive(Debug, Clone)]
 pub struct StreamCleaner {
     config: CleaningConfig,

@@ -15,13 +15,13 @@
 //!   backpressure, and explicit lag signalling.
 //! * [`faults`] — deterministic fault injection (drops, duplicates,
 //!   reordering, corruption, gaps, bursts) for chaos-testing the pipeline.
-//! * [`operator`] — the operator abstraction: a keyed, stateful
-//!   record-at-a-time transformer, with pipeline composition and a parallel
-//!   executor over key partitions.
+//! * [`operator`] — the operator abstraction: a stateful record-at-a-time
+//!   transformer.
 //! * [`parallel`] — the sharded parallel executor: key-hash partitioning
 //!   across worker threads over bounded backpressured topics, with stamped
-//!   outputs and a deterministic merge back into submission order (the
-//!   Flink `keyBy` + parallelism scaling model of §4.2).
+//!   outputs, a deterministic merge back into submission order (the Flink
+//!   `keyBy` + parallelism scaling model of §4.2), and consistent cuts
+//!   across every worker.
 //! * [`cleaning`] — online data cleaning: plausibility filtering,
 //!   impossible-speed outlier rejection, duplicate and out-of-order
 //!   handling ("online data cleaning of erroneous data", §3).
@@ -49,8 +49,8 @@ pub use fusion::{CrossStreamFusion, FusionConfig, FusionStats};
 pub use cleaning::{CleanerState, CleaningConfig, CleaningOutcome, StreamCleaner};
 pub use insitu::{InSituProcessor, RunningStats, TrajectoryStats};
 pub use lowlevel::{AreaEvent, AreaEventKind, AreaMonitor};
-pub use operator::{KeyedOperator, Operator, Pipeline};
+pub use operator::Operator;
 pub use parallel::{
-    Directive, FinishedRun, SeqStamp, SequenceMerger, ShardAssigner, ShardPanic, ShardStage,
-    ShardedConfig, ShardedExecutor, Stamped,
+    FinishedRun, SeqStamp, SequenceMerger, ShardAssigner, ShardPanic, ShardStage, ShardedConfig,
+    ShardedExecutor, Stamped,
 };

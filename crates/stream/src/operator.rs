@@ -2,14 +2,10 @@
 //!
 //! datAcron's real-time layer is a chain of record-at-a-time transformations
 //! with per-entity state (cleaning → statistics → synopses → …). An
-//! [`Operator`] maps one input record to zero or more outputs;
-//! [`KeyedOperator`] partitions state by key the way Flink's `keyBy` does;
-//! [`Pipeline`] composes two operators; and [`run_partitioned`] executes a
-//! keyed operator over pre-partitioned input on multiple threads,
-//! reproducing the data-parallel execution model of the original system.
-
-use std::collections::HashMap;
-use std::hash::Hash;
+//! [`Operator`] maps one input record to zero or more outputs. Keying by
+//! entity and data-parallel execution live elsewhere: the real-time layer
+//! keeps one operator instance per entity, and [`crate::parallel`] shards
+//! entities across worker threads.
 
 /// A stateful record-at-a-time stream transformer.
 pub trait Operator<I, O> {
@@ -43,130 +39,6 @@ where
     }
 }
 
-/// Partitions state by key: one inner operator instance per key, created on
-/// first sight — the `keyBy(entity)` idiom of the original Flink jobs.
-pub struct KeyedOperator<K, I, O, Op, KeyFn, NewFn>
-where
-    K: Eq + Hash,
-    Op: Operator<I, O>,
-    KeyFn: Fn(&I) -> K,
-    NewFn: Fn(&K) -> Op,
-{
-    states: HashMap<K, Op>,
-    key_fn: KeyFn,
-    new_fn: NewFn,
-    _marker: std::marker::PhantomData<(I, O)>,
-}
-
-impl<K, I, O, Op, KeyFn, NewFn> KeyedOperator<K, I, O, Op, KeyFn, NewFn>
-where
-    K: Eq + Hash + Clone,
-    Op: Operator<I, O>,
-    KeyFn: Fn(&I) -> K,
-    NewFn: Fn(&K) -> Op,
-{
-    /// Creates a keyed operator with a key extractor and a per-key factory.
-    pub fn new(key_fn: KeyFn, new_fn: NewFn) -> Self {
-        Self {
-            states: HashMap::new(),
-            key_fn,
-            new_fn,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of keys with live state.
-    pub fn key_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Read access to a key's state, if it exists.
-    pub fn state_of(&self, key: &K) -> Option<&Op> {
-        self.states.get(key)
-    }
-}
-
-impl<K, I, O, Op, KeyFn, NewFn> Operator<I, O> for KeyedOperator<K, I, O, Op, KeyFn, NewFn>
-where
-    K: Eq + Hash + Clone,
-    Op: Operator<I, O>,
-    KeyFn: Fn(&I) -> K,
-    NewFn: Fn(&K) -> Op,
-{
-    fn on_record(&mut self, input: I, out: &mut Vec<O>) {
-        let key = (self.key_fn)(&input);
-        let op = self
-            .states
-            .entry(key.clone())
-            .or_insert_with(|| (self.new_fn)(&key));
-        op.on_record(input, out);
-    }
-
-    fn on_flush(&mut self, out: &mut Vec<O>) {
-        for op in self.states.values_mut() {
-            op.on_flush(out);
-        }
-    }
-}
-
-/// Sequential composition of two operators.
-pub struct Pipeline<A, B, M> {
-    first: A,
-    second: B,
-    buffer: Vec<M>,
-}
-
-impl<A, B, M> Pipeline<A, B, M> {
-    /// Composes `first` then `second`.
-    pub fn new(first: A, second: B) -> Self {
-        Self {
-            first,
-            second,
-            buffer: Vec::new(),
-        }
-    }
-}
-
-impl<I, M, O, A, B> Operator<I, O> for Pipeline<A, B, M>
-where
-    A: Operator<I, M>,
-    B: Operator<M, O>,
-{
-    fn on_record(&mut self, input: I, out: &mut Vec<O>) {
-        self.buffer.clear();
-        self.first.on_record(input, &mut self.buffer);
-        for m in self.buffer.drain(..) {
-            self.second.on_record(m, out);
-        }
-    }
-
-    fn on_flush(&mut self, out: &mut Vec<O>) {
-        self.buffer.clear();
-        self.first.on_flush(&mut self.buffer);
-        for m in self.buffer.drain(..) {
-            self.second.on_record(m, out);
-        }
-        self.second.on_flush(out);
-    }
-}
-
-/// A partition worker died; the payload carries which one and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionPanic {
-    /// Index of the partition whose worker panicked.
-    pub partition: usize,
-    /// The panic message, when it was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for PartitionPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "partition {} worker panicked: {}", self.partition, self.message)
-    }
-}
-
-impl std::error::Error for PartitionPanic {}
-
 /// Extracts a human-readable message from a panic payload.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -178,82 +50,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one operator instance per partition on its own thread and collects
-/// the outputs per partition. Records within a partition keep their order;
-/// the caller is responsible for partitioning by key (entities are
-/// independent, so any per-entity computation parallelises this way).
-///
-/// A panic inside one partition's operator does not take the others down:
-/// every surviving partition still finishes, and the first failure is
-/// reported as a typed [`PartitionPanic`].
-pub fn run_partitioned<I, O, Op, F>(
-    partitions: Vec<Vec<I>>,
-    make_op: F,
-) -> Result<Vec<Vec<O>>, PartitionPanic>
-where
-    I: Send,
-    O: Send,
-    Op: Operator<I, O>,
-    F: Fn() -> Op + Sync,
-{
-    let joined: Vec<std::thread::Result<Vec<O>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .map(|part| {
-                let make_op = &make_op;
-                scope.spawn(move || {
-                    let mut op = make_op();
-                    op.run(part)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    joined
-        .into_iter()
-        .enumerate()
-        .map(|(partition, r)| {
-            r.map_err(|payload| PartitionPanic {
-                partition,
-                message: panic_message(payload.as_ref()),
-            })
-        })
-        .collect()
-}
-
-/// Splits records into `n` partitions by a key hash, preserving order within
-/// each partition.
-pub fn partition_by_key<I, K, F>(records: impl IntoIterator<Item = I>, n: usize, key_fn: F) -> Vec<Vec<I>>
-where
-    K: Hash,
-    F: Fn(&I) -> K,
-{
-    assert!(n > 0, "need at least one partition");
-    let mut parts: Vec<Vec<I>> = (0..n).map(|_| Vec::new()).collect();
-    for r in records {
-        use std::hash::Hasher;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key_fn(&r).hash(&mut h);
-        let idx = (h.finish() % n as u64) as usize;
-        parts[idx].push(r);
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Counter {
-        seen: u64,
-    }
-
-    impl Operator<u64, (u64, u64)> for Counter {
-        fn on_record(&mut self, input: u64, out: &mut Vec<(u64, u64)>) {
-            self.seen += 1;
-            out.push((input, self.seen));
-        }
-    }
 
     #[test]
     fn closure_operator_maps_and_filters() {
@@ -264,99 +63,5 @@ mod tests {
         };
         let outputs = double_evens.run(0..6);
         assert_eq!(outputs, vec![0, 4, 8]);
-    }
-
-    #[test]
-    fn keyed_operator_isolates_state() {
-        let mut keyed = KeyedOperator::new(|i: &(u8, u64)| i.0, |_k| Counter { seen: 0 });
-        let mut out = Vec::new();
-        for rec in [(1u8, 10u64), (2, 20), (1, 11), (1, 12), (2, 21)] {
-            keyed.on_record(rec, &mut out);
-        }
-        assert_eq!(keyed.key_count(), 2);
-        // Counter restarts per key.
-        let counts: Vec<u64> = out.iter().map(|(_, c)| *c).collect();
-        assert_eq!(counts, vec![1, 1, 2, 3, 2]);
-    }
-
-    impl Operator<(u8, u64), ((u8, u64), u64)> for Counter {
-        fn on_record(&mut self, input: (u8, u64), out: &mut Vec<((u8, u64), u64)>) {
-            self.seen += 1;
-            out.push((input, self.seen));
-        }
-    }
-
-    #[test]
-    fn pipeline_composes_and_flushes() {
-        struct Batcher {
-            buf: Vec<u64>,
-        }
-        impl Operator<u64, Vec<u64>> for Batcher {
-            fn on_record(&mut self, input: u64, out: &mut Vec<Vec<u64>>) {
-                self.buf.push(input);
-                if self.buf.len() == 2 {
-                    out.push(std::mem::take(&mut self.buf));
-                }
-            }
-            fn on_flush(&mut self, out: &mut Vec<Vec<u64>>) {
-                if !self.buf.is_empty() {
-                    out.push(std::mem::take(&mut self.buf));
-                }
-            }
-        }
-        let sum = |batch: Vec<u64>, out: &mut Vec<u64>| out.push(batch.iter().sum());
-        let mut pipe = Pipeline::new(Batcher { buf: Vec::new() }, sum);
-        let outputs = pipe.run(1..=5);
-        assert_eq!(outputs, vec![3, 7, 5]); // (1+2), (3+4), flush (5)
-    }
-
-    #[test]
-    fn run_partitioned_reports_worker_panics() {
-        let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3, 13, 4], vec![5]];
-        let err = run_partitioned(parts, || {
-            |x: u64, out: &mut Vec<u64>| {
-                assert!(x != 13, "poison record");
-                out.push(x);
-            }
-        })
-        .expect_err("partition 1 panics");
-        assert_eq!(err.partition, 1);
-        assert!(err.message.contains("poison record"), "{}", err.message);
-    }
-
-    #[test]
-    fn partition_by_key_is_stable_per_key() {
-        let parts = partition_by_key(0..100u64, 4, |x| x % 10);
-        let total: usize = parts.iter().map(Vec::len).sum();
-        assert_eq!(total, 100);
-        // Records of one key land in one partition, in order.
-        for p in &parts {
-            for key in 0..10u64 {
-                let seq: Vec<u64> = p.iter().copied().filter(|x| x % 10 == key).collect();
-                assert!(seq.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
-    #[test]
-    fn run_partitioned_matches_sequential() {
-        let records: Vec<(u8, u64)> = (0..200).map(|i| ((i % 7) as u8, i)).collect();
-        let parts = partition_by_key(records.clone(), 4, |r| r.0);
-        let parallel = run_partitioned(parts, || {
-            KeyedOperator::new(|i: &(u8, u64)| i.0, |_| Counter { seen: 0 })
-        })
-        .expect("no worker panics");
-        let flat: usize = parallel.iter().map(Vec::len).sum();
-        assert_eq!(flat, 200);
-        // Per-key counters end at the same totals as a sequential run.
-        let mut seq_op = KeyedOperator::new(|i: &(u8, u64)| i.0, |_| Counter { seen: 0 });
-        let seq_out = seq_op.run(records);
-        let max_per_key = |out: &[((u8, u64), u64)], key: u8| {
-            out.iter().filter(|((k, _), _)| *k == key).map(|(_, c)| *c).max().unwrap_or(0)
-        };
-        let par_flat: Vec<((u8, u64), u64)> = parallel.into_iter().flatten().collect();
-        for key in 0..7u8 {
-            assert_eq!(max_per_key(&par_flat, key), max_per_key(&seq_out, key));
-        }
     }
 }

@@ -41,8 +41,7 @@
 //!   input queue is momentarily empty (a partial poll batch), falling back
 //!   to batched handoff only when a backlog exists to amortize.
 //! * **Event-driven waits** — every blocked edge (full shard queue, full
-//!   output topic, full admission window, shutdown wind-down) parks on a
-//!   condvar ([`Topic::wait_for_space`], [`Consumer::poll_wait`]) and is
+//!   admission window, shutdown wind-down) parks on a condvar ([`Topic::wait_for_space`], [`Consumer::poll_wait`]) and is
 //!   woken by the progress that unblocks it; nothing busy-spins or sleeps
 //!   on a fixed quantum in the common path.
 //! * **Honest per-record latency** — every [`Stamped`] record carries its
@@ -50,22 +49,34 @@
 //!   histogram measures each record from submission to in-order release,
 //!   not a per-drain smear.
 //!
+//! ## Consistent cuts
+//!
+//! Everything that needs the workers' state — end-of-stream flush, health,
+//! metrics, checkpoints, a resize, the live KG's settle — goes through one
+//! primitive, [`ShardedExecutor::at_cut`]: a closure is queued on every
+//! shard behind the records already submitted, each worker runs it on its
+//! stage once those records are processed and their outputs published, and
+//! the results come back in shard order. The cut therefore reflects exactly
+//! the records submitted before the call, and on return every one of their
+//! outputs is merged and ready for [`ShardedExecutor::poll`].
+//!
 //! ## Failure model
 //!
 //! The executor is lossless by construction: submission retries refused
-//! publishes (backpressure, not loss), workers retry output publishes, and
-//! [`ShardedExecutor::finish`] drains everything and reports
+//! publishes (backpressure, not loss), the output topic is unbounded (the
+//! admission window bounds what it holds), and [`ShardedExecutor::finish`] drains everything and reports
 //! `submitted == merged` (plus late/duplicate counters from the merger,
 //! which must be zero). A worker that dies (a stage panic escaping
-//! `on_record`) is detected at the next submit-side wait, barrier or
-//! `finish`, and reported as a [`ShardPanic`] rather than a hang.
+//! `on_batch`, or a cut closure that panics) is detected at the next
+//! submit-side wait, at the next quiet tick of a cut, or at `finish`, and
+//! reported as a [`ShardPanic`] rather than a hang.
 
 use crate::bus::{Consumer, OverflowPolicy, SpaceWaitError, Topic, TopicConfig};
 use datacron_geo::hash::{fx_hash, FxHashMap};
 use datacron_obs::{Gauge, LogHistogram, MetricsSnapshot, ObsRegistry};
 use std::collections::BTreeMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -99,21 +110,29 @@ pub struct Stamped<T> {
     pub value: T,
 }
 
+/// A closure every worker runs on its stage at a cut, given its shard id.
+type CutJob<S> = Arc<dyn Fn(u32, &mut S) + Send + Sync>;
+
 /// What flows down a shard's input topic.
-#[derive(Debug, Clone)]
-pub enum Directive<T> {
+enum Directive<S: ShardStage> {
     /// Process one stamped record.
-    Record(Stamped<T>),
-    /// Emit end-of-stream state (barrier; the worker acknowledges).
-    Flush,
-    /// Emit a point-in-time snapshot (barrier; the worker acknowledges).
-    Snapshot,
-    /// Emit durable checkpoint state (barrier; the worker acknowledges).
-    Checkpoint,
-    /// Emit the stage's metrics (barrier; the worker acknowledges).
-    Metrics,
+    Record(Stamped<S::In>),
+    /// Finish the queued records, publish their outputs, then run the
+    /// closure on the stage (see [`ShardedExecutor::at_cut`]).
+    Cut(CutJob<S>),
     /// Drain and exit, returning the stage to the coordinator.
     Shutdown,
+}
+
+// `Topic<T>` requires `T: Clone`; a derive would also demand `S: Clone`.
+impl<S: ShardStage> Clone for Directive<S> {
+    fn clone(&self) -> Self {
+        match self {
+            Self::Record(stamped) => Self::Record(stamped.clone()),
+            Self::Cut(job) => Self::Cut(Arc::clone(job)),
+            Self::Shutdown => Self::Shutdown,
+        }
+    }
 }
 
 /// Deterministic key → shard routing: Fx hash of the key reduced modulo
@@ -299,7 +318,7 @@ impl RebalancePolicy {
 ///
 /// The merger is **routing-epoch aware**: a live resize tears the worker
 /// fleet down and re-spawns it, restarting the gap-free sequence space
-/// from 0 under a new epoch ([`begin_epoch`](Self::begin_epoch)). A stamp
+/// from 0 under a new epoch ([`with_epoch`](Self::with_epoch)). A stamp
 /// from an older epoch arriving after the boundary is behind the release
 /// cursor *by construction* (its epoch was fully released before the
 /// boundary), so it is classified late — exactly like a same-epoch
@@ -343,24 +362,6 @@ impl<T> SequenceMerger<T> {
     /// The current routing epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Crosses a routing-epoch boundary: bumps the epoch and restarts the
-    /// sequence space at 0. The previous epoch must be fully drained — the
-    /// resize barrier guarantees every pre-resize record merged before the
-    /// fleet is torn down.
-    ///
-    /// # Panics
-    /// Panics when values are still buffered (the boundary would orphan
-    /// them).
-    pub fn begin_epoch(&mut self) {
-        assert!(
-            self.pending.is_empty(),
-            "routing-epoch boundary with {} value(s) still buffered",
-            self.pending.len()
-        );
-        self.epoch += 1;
-        self.next = 0;
     }
 
     /// Offers one stamped value; appends to `out` every value that became
@@ -430,45 +431,22 @@ impl<T> SequenceMerger<T> {
 
 /// One shard's worth of pipeline: a stateful per-key stage.
 ///
-/// `on_record` is called once per routed record, in submission order for
-/// records sharing a key. `on_flush`/`snapshot` answer the corresponding
-/// barriers.
+/// Everything else a caller needs from the stage (flush, health, metrics,
+/// checkpoint) is a closure run at a consistent cut
+/// ([`ShardedExecutor::at_cut`]), so the trait carries only the record
+/// path.
 pub trait ShardStage: Send + 'static {
     /// Input record type.
     type In: Send + Clone + 'static;
     /// Per-record output type.
     type Out: Send + Clone + 'static;
-    /// End-of-stream output type.
-    type Flush: Send + Clone + 'static;
-    /// Point-in-time snapshot type.
-    type Snapshot: Send + Clone + 'static;
-    /// Durable checkpoint state type.
-    type Checkpoint: Send + Clone + 'static;
-    /// Stage metrics type (e.g. a `MetricsSnapshot`).
-    type Metrics: Send + Clone + 'static;
 
-    /// Processes one record.
-    fn on_record(&mut self, input: Self::In) -> Self::Out;
     /// Processes a run of records as one batch, draining `inputs` and
-    /// appending exactly one output per input to `out`, in order. Workers
-    /// feed every record through this hook (runs are cut at barriers and
-    /// poll-batch boundaries), so a stage with a batch-optimised path —
-    /// e.g. the real-time layer's columnar ingest — overrides it; the
-    /// default simply loops [`on_record`](Self::on_record) and must stay
-    /// observably identical to per-record processing.
-    fn on_batch(&mut self, inputs: &mut Vec<Self::In>, out: &mut Vec<Self::Out>) {
-        for input in inputs.drain(..) {
-            out.push(self.on_record(input));
-        }
-    }
-    /// Emits end-of-stream state (e.g. trailing synopses).
-    fn on_flush(&mut self) -> Self::Flush;
-    /// Reports a point-in-time snapshot (e.g. health).
-    fn snapshot(&self) -> Self::Snapshot;
-    /// Captures durable checkpoint state, restorable into a fresh stage.
-    fn checkpoint(&self) -> Self::Checkpoint;
-    /// Reports the stage's metrics (answering the metrics barrier).
-    fn metrics(&self) -> Self::Metrics;
+    /// appending exactly one output per input to `out`, in order. Records
+    /// sharing a key arrive in submission order; runs are cut at cuts and
+    /// poll-batch boundaries, so the outputs must not depend on where a run
+    /// was cut.
+    fn on_batch(&mut self, inputs: &mut Vec<Self::In>, out: &mut Vec<Self::Out>);
 }
 
 /// Capacity and pacing knobs of the sharded executor.
@@ -479,10 +457,6 @@ pub struct ShardedConfig {
     /// Bounded capacity of each shard's input topic; a full queue
     /// backpressures [`ShardedExecutor::submit`].
     pub queue_capacity: usize,
-    /// Capacity of the merged-output topic; `None` = unbounded (the
-    /// coordinator drains it on every submit, so it stays small in
-    /// practice).
-    pub output_capacity: Option<usize>,
     /// Bounded admission window: the maximum number of records in flight
     /// at once (submitted but not yet released by the merger, wherever
     /// they sit — shard queue, stage, output topic or reorder buffer).
@@ -493,14 +467,6 @@ pub struct ShardedConfig {
     /// then bounded only by the shard queue capacities) — a throughput
     /// knob that forfeits the latency bound.
     pub max_in_flight: Option<usize>,
-    /// Upper bound on one event-driven handoff wait (liveness check
-    /// granularity, not a loss threshold — handoffs retry forever; waits
-    /// are condvar-signalled and normally end well before this cap).
-    pub handoff_timeout: Duration,
-    /// How long a barrier ([`flush_all`](ShardedExecutor::flush_all),
-    /// [`snapshot_all`](ShardedExecutor::snapshot_all), `finish`) waits for
-    /// worker acknowledgements before declaring a shard dead.
-    pub barrier_timeout: Duration,
     /// Whether the executor keeps its own observability instruments
     /// (per-shard queue-depth gauges, merge-buffer occupancy, submit→merge
     /// latency). Disabling removes all metric cost from the submit path.
@@ -512,10 +478,7 @@ impl Default for ShardedConfig {
         Self {
             shards: 4,
             queue_capacity: 1024,
-            output_capacity: None,
             max_in_flight: Some(4096),
-            handoff_timeout: Duration::from_millis(200),
-            barrier_timeout: Duration::from_secs(60),
             metrics: true,
         }
     }
@@ -528,7 +491,7 @@ impl ShardedConfig {
     }
 }
 
-/// A shard worker died mid-run (a stage panic escaped `on_record`).
+/// A shard worker died mid-run (a panic escaped `on_batch` or a cut).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPanic {
     /// Which shard.
@@ -572,12 +535,8 @@ pub struct FinishedRun<S: ShardStage> {
 /// backpressured topics, with outputs merged back into submission order.
 pub struct ShardedExecutor<S: ShardStage> {
     assigner: ShardAssigner,
-    inputs: Vec<Arc<Topic<Directive<S::In>>>>,
+    inputs: Vec<Arc<Topic<Directive<S>>>>,
     output_consumer: Consumer<Stamped<S::Out>>,
-    flush_consumer: Consumer<(u32, S::Flush)>,
-    snapshot_consumer: Consumer<(u32, S::Snapshot)>,
-    checkpoint_consumer: Consumer<(u32, S::Checkpoint)>,
-    metrics_consumer: Consumer<(u32, S::Metrics)>,
     workers: Vec<JoinHandle<S>>,
     key_seqs: FxHashMap<u64, u64>,
     /// Records routed to each shard this epoch — the load signal behind
@@ -590,7 +549,6 @@ pub struct ShardedExecutor<S: ShardStage> {
     released_scratch: Vec<Stamped<S::Out>>,
     next_seq: u64,
     max_in_flight: Option<usize>,
-    barrier_timeout: Duration,
     obs: ObsRegistry,
     queue_depth_gauges: Vec<Gauge>,
     routed_gauges: Vec<Gauge>,
@@ -625,28 +583,10 @@ impl<S: ShardStage> ShardedExecutor<S> {
             assigner.shards(),
             "config and assigner disagree on the shard count"
         );
-        // Executor-internal topics use a zero block timeout: a full topic
-        // refuses the publish immediately and the caller parks on
-        // `wait_for_space`/`poll_wait` (doing productive work — draining —
-        // in between) instead of blocking inside the publish where it can
-        // drain nothing.
-        let output = Topic::with_config(
-            "shard-outputs",
-            TopicConfig {
-                capacity: config.output_capacity,
-                policy: OverflowPolicy::Block,
-                block_timeout: Duration::ZERO,
-            },
-        );
+        // The merged-output topic is unbounded: the admission window bounds
+        // what it can hold, and the coordinator drains it on every submit.
+        let output = Topic::new("shard-outputs");
         let output_consumer = output.consumer();
-        let flushes: Arc<Topic<(u32, S::Flush)>> = Topic::new("shard-flushes");
-        let flush_consumer = flushes.consumer();
-        let snapshots: Arc<Topic<(u32, S::Snapshot)>> = Topic::new("shard-snapshots");
-        let snapshot_consumer = snapshots.consumer();
-        let checkpoints: Arc<Topic<(u32, S::Checkpoint)>> = Topic::new("shard-checkpoints");
-        let checkpoint_consumer = checkpoints.consumer();
-        let metrics: Arc<Topic<(u32, S::Metrics)>> = Topic::new("shard-metrics");
-        let metrics_consumer = metrics.consumer();
         let obs = if config.metrics {
             ObsRegistry::new()
         } else {
@@ -655,7 +595,11 @@ impl<S: ShardStage> ShardedExecutor<S> {
         let mut inputs = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards as u32 {
-            let input: Arc<Topic<Directive<S::In>>> = Topic::with_config(
+            // A zero block timeout: a full queue refuses the publish
+            // immediately and the coordinator parks on `wait_for_space`
+            // (draining outputs in between) instead of blocking inside the
+            // publish where it can drain nothing.
+            let input: Arc<Topic<Directive<S>>> = Topic::with_config(
                 format!("shard-{shard}-input"),
                 TopicConfig {
                     capacity: Some(config.queue_capacity),
@@ -667,24 +611,9 @@ impl<S: ShardStage> ShardedExecutor<S> {
             let worker = {
                 let input = Arc::clone(&input);
                 let output = Arc::clone(&output);
-                let flushes = Arc::clone(&flushes);
-                let snapshots = Arc::clone(&snapshots);
-                let checkpoints = Arc::clone(&checkpoints);
-                let metrics = Arc::clone(&metrics);
                 std::thread::Builder::new()
                     .name(format!("datacron-shard-{shard}"))
-                    .spawn(move || {
-                        worker_loop(
-                            shard,
-                            stage,
-                            input,
-                            output,
-                            flushes,
-                            snapshots,
-                            checkpoints,
-                            metrics,
-                        )
-                    })
+                    .spawn(move || worker_loop(shard, stage, input, output))
                     .expect("spawn shard worker")
             };
             inputs.push(input);
@@ -706,10 +635,6 @@ impl<S: ShardStage> ShardedExecutor<S> {
             assigner,
             inputs,
             output_consumer,
-            flush_consumer,
-            snapshot_consumer,
-            checkpoint_consumer,
-            metrics_consumer,
             workers,
             key_seqs: FxHashMap::default(),
             epoch,
@@ -718,7 +643,6 @@ impl<S: ShardStage> ShardedExecutor<S> {
             released_scratch: Vec::new(),
             next_seq: 0,
             max_in_flight: config.max_in_flight,
-            barrier_timeout: config.barrier_timeout,
             obs,
             queue_depth_gauges,
             routed_gauges,
@@ -777,8 +701,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
     /// record's stamps.
     ///
     /// Also opportunistically drains finished outputs into the internal
-    /// ready buffer, so a submit-only loop cannot deadlock against a
-    /// bounded output topic.
+    /// ready buffer, so the merge stays current for the next poll.
     pub fn submit(&mut self, key: &impl Hash, input: S::In) -> SeqStamp {
         self.await_admission();
         let key_hash = fx_hash(key);
@@ -799,7 +722,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
             match self.inputs[shard as usize].try_publish(msg) {
                 Ok(_) => break,
                 Err(err) => {
-                    // Backpressure: free output space, then park until the
+                    // Backpressure: absorb outputs, then park until the
                     // worker consumes (condvar-woken); never drop.
                     msg = err.into_inner();
                     self.drain_outputs();
@@ -823,7 +746,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
     pub fn submit_batch<K: Hash>(&mut self, items: impl IntoIterator<Item = (K, S::In)>) {
         let shards = self.assigner.shards();
         let timed = self.obs.is_enabled();
-        let mut per_shard: Vec<Vec<Directive<S::In>>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<Vec<Directive<S>>> = (0..shards).map(|_| Vec::new()).collect();
         let mut items = items.into_iter();
         loop {
             self.await_admission();
@@ -888,7 +811,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
                 .output_consumer
                 .poll_wait(OUTPUT_DRAIN_BATCH, timeout)
                 .unwrap_or_else(|lagged| {
-                    unreachable!("Block-bounded output topic never truncates unread data: {lagged:?}")
+                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
                 });
             self.absorb(batch);
             self.drain_outputs();
@@ -916,7 +839,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
                 .output_consumer
                 .poll_wait(OUTPUT_DRAIN_BATCH, OUTPUT_WAIT)
                 .unwrap_or_else(|lagged| {
-                    unreachable!("Block-bounded output topic never truncates unread data: {lagged:?}")
+                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
                 });
             if batch.is_empty() {
                 // Sustained silence with a full window: make sure the
@@ -933,13 +856,17 @@ impl<S: ShardStage> ShardedExecutor<S> {
     /// path, where finished workers are the expected state.
     fn panic_if_worker_died(&mut self) {
         for shard in 0..self.workers.len() {
-            if self.workers[shard].is_finished() {
-                let message = match self.workers.remove(shard).join() {
-                    Err(payload) => crate::operator::panic_message(payload.as_ref()),
-                    Ok(_) => "worker exited without a shutdown directive".to_string(),
-                };
-                panic!("{}", ShardPanic { shard: shard as u32, message });
-            }
+            self.panic_if_shard_died(shard);
+        }
+    }
+
+    fn panic_if_shard_died(&mut self, shard: usize) {
+        if self.workers[shard].is_finished() {
+            let message = match self.workers.remove(shard).join() {
+                Err(payload) => crate::operator::panic_message(payload.as_ref()),
+                Ok(_) => "worker exited without a shutdown directive".to_string(),
+            };
+            panic!("{}", ShardPanic { shard: shard as u32, message });
         }
     }
 
@@ -949,7 +876,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
                 .output_consumer
                 .poll(OUTPUT_DRAIN_BATCH)
                 .unwrap_or_else(|lagged| {
-                    unreachable!("Block-bounded output topic never truncates unread data: {lagged:?}")
+                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
                 });
             if batch.is_empty() {
                 break;
@@ -985,102 +912,79 @@ impl<S: ShardStage> ShardedExecutor<S> {
         }
     }
 
-    /// Routes one directive to a shard queue, draining outputs between
-    /// backpressure retries so a worker blocked on a full output topic can
-    /// always make progress (no coordinator/worker deadlock). No liveness
-    /// check: directives are sent on the shutdown path too, where finished
-    /// workers are expected; a dead shard is caught by the barrier timeout
-    /// or the `finish` join.
-    fn send_directive(&mut self, shard: usize, msg: Directive<S::In>) {
+    /// Routes one directive to a shard queue, parking between backpressure
+    /// retries. A full queue with no consumer left belongs to a dead worker
+    /// (a worker drops its consumer only on exit, and exits cleanly only on
+    /// its own `Shutdown`, which is sent once and last), so only that shard
+    /// is checked and its [`ShardPanic`] raised — otherwise nothing would
+    /// ever free the space and the send would spin forever.
+    fn send_directive(&mut self, shard: usize, msg: Directive<S>) {
         let mut msg = msg;
         loop {
             match self.inputs[shard].try_publish(msg) {
                 Ok(_) => return,
                 Err(err) => {
                     msg = err.into_inner();
-                    self.drain_outputs();
-                    let _ = self.inputs[shard].wait_for_space(COORD_SPACE_WAIT);
+                    if self.inputs[shard].wait_for_space(COORD_SPACE_WAIT)
+                        == Err(SpaceWaitError::NoConsumers)
+                    {
+                        self.panic_if_shard_died(shard);
+                    }
                 }
             }
         }
     }
 
-    /// End-of-stream barrier: every worker finishes its queued records,
-    /// emits its flush output, and acknowledges. Returns the per-shard
-    /// flush outputs in shard order.
+    /// Runs `job` on every shard's stage at a **consistent cut** and returns
+    /// the results in shard order.
+    ///
+    /// The job is queued behind every record already submitted, so each
+    /// worker runs it only after processing those records and publishing
+    /// their outputs: the cut reflects exactly the records submitted before
+    /// the call, none after. On return every earlier output is merged —
+    /// `in_flight() == 0` and the next [`poll`](Self::poll) returns them
+    /// all, in order. Flush, health, metrics, checkpoints and resizes are
+    /// all callers; `at_cut(|_, _| ())` is a bare settle.
     ///
     /// # Panics
-    /// Panics with the dead shard's id when a worker fails to acknowledge
-    /// within the barrier timeout.
-    pub fn flush_all(&mut self) -> Vec<S::Flush> {
-        for shard in 0..self.shards() {
-            self.send_directive(shard, Directive::Flush);
-        }
-        let shards = self.shards();
-        let mut got: Vec<Option<S::Flush>> = (0..shards).map(|_| None).collect();
-        self.await_barrier("flush", &mut got, |exec, max, t| {
-            exec.flush_consumer
-                .poll_wait(max, t)
-                .unwrap_or_else(|lagged| unreachable!("unbounded topic never lags: {lagged:?}"))
+    /// Panics with the worker's [`ShardPanic`] when a shard dies before
+    /// answering (checked when its full queue refuses the cut and on every
+    /// quiet tick, so within milliseconds), and when a live shard has not
+    /// answered after a minute.
+    pub fn at_cut<R: Send + 'static>(
+        &mut self,
+        job: impl Fn(u32, &mut S) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        let (tx, rx) = mpsc::channel();
+        let cut: CutJob<S> = Arc::new(move |shard, stage: &mut S| {
+            // The receiver is gone only if the coordinator panicked mid-cut.
+            let _ = tx.send((shard, job(shard, stage)));
         });
-        self.drain_outputs();
-        got.into_iter().map(|f| f.expect("all shards acknowledged")).collect()
-    }
-
-    /// Snapshot barrier: every worker reports its stage snapshot after
-    /// finishing its queued records. Returns snapshots in shard order.
-    pub fn snapshot_all(&mut self) -> Vec<S::Snapshot> {
         for shard in 0..self.shards() {
-            self.send_directive(shard, Directive::Snapshot);
+            self.send_directive(shard, Directive::Cut(Arc::clone(&cut)));
         }
-        let shards = self.shards();
-        let mut got: Vec<Option<S::Snapshot>> = (0..shards).map(|_| None).collect();
-        self.await_barrier("snapshot", &mut got, |exec, max, t| {
-            exec.snapshot_consumer
-                .poll_wait(max, t)
-                .unwrap_or_else(|lagged| unreachable!("unbounded topic never lags: {lagged:?}"))
-        });
-        self.drain_outputs();
-        got.into_iter().map(|s| s.expect("all shards acknowledged")).collect()
-    }
-
-    /// Checkpoint barrier: every worker captures its stage's durable state
-    /// after finishing its queued records. Returns checkpoints in shard
-    /// order. Like [`snapshot_all`](Self::snapshot_all), this is a
-    /// consistent cut: every record submitted before the barrier is
-    /// reflected, none submitted after.
-    pub fn checkpoint_all(&mut self) -> Vec<S::Checkpoint> {
-        for shard in 0..self.shards() {
-            self.send_directive(shard, Directive::Checkpoint);
+        let mut got: Vec<Option<R>> = (0..self.shards()).map(|_| None).collect();
+        let mut remaining = got.len();
+        let deadline = Instant::now() + CUT_TIMEOUT;
+        while remaining > 0 {
+            match rx.recv_timeout(CUT_TICK) {
+                Ok((shard, result)) => {
+                    // Each worker runs the job once, so each slot fills once.
+                    got[shard as usize] = Some(result);
+                    remaining -= 1;
+                }
+                Err(_) => {
+                    // `cut` still holds a sender, so this is a quiet tick.
+                    self.panic_if_worker_died();
+                    assert!(
+                        Instant::now() < deadline,
+                        "cut timed out with {remaining} shard(s) unresponsive"
+                    );
+                }
+            }
         }
-        let shards = self.shards();
-        let mut got: Vec<Option<S::Checkpoint>> = (0..shards).map(|_| None).collect();
-        self.await_barrier("checkpoint", &mut got, |exec, max, t| {
-            exec.checkpoint_consumer
-                .poll_wait(max, t)
-                .unwrap_or_else(|lagged| unreachable!("unbounded topic never lags: {lagged:?}"))
-        });
         self.drain_outputs();
-        got.into_iter().map(|c| c.expect("all shards acknowledged")).collect()
-    }
-
-    /// Metrics barrier: every worker reports its stage's metrics after
-    /// finishing its queued records. Returns them in shard order. Like the
-    /// other barriers this is a consistent cut, so count-typed stage
-    /// metrics summed across shards equal a single-threaded run's.
-    pub fn metrics_all(&mut self) -> Vec<S::Metrics> {
-        for shard in 0..self.shards() {
-            self.send_directive(shard, Directive::Metrics);
-        }
-        let shards = self.shards();
-        let mut got: Vec<Option<S::Metrics>> = (0..shards).map(|_| None).collect();
-        self.await_barrier("metrics", &mut got, |exec, max, t| {
-            exec.metrics_consumer
-                .poll_wait(max, t)
-                .unwrap_or_else(|lagged| unreachable!("unbounded topic never lags: {lagged:?}"))
-        });
-        self.drain_outputs();
-        got.into_iter().map(|m| m.expect("all shards acknowledged")).collect()
+        got.into_iter().map(|r| r.expect("every shard answered")).collect()
     }
 
     /// The executor's own instruments (timing/occupancy-typed only, never
@@ -1106,33 +1010,6 @@ impl<S: ShardStage> ShardedExecutor<S> {
         self.obs.snapshot()
     }
 
-    /// Waits for one acknowledgement per shard, draining outputs the whole
-    /// time so workers blocked on a bounded output topic can reach the
-    /// barrier.
-    fn await_barrier<A>(
-        &mut self,
-        what: &str,
-        got: &mut [Option<A>],
-        mut poll: impl FnMut(&mut Self, usize, Duration) -> Vec<(u32, A)>,
-    ) {
-        let shards = got.len();
-        let mut remaining = shards;
-        let deadline = std::time::Instant::now() + self.barrier_timeout;
-        while remaining > 0 {
-            self.drain_outputs();
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{what} barrier timed out with {remaining} shard(s) unresponsive"
-            );
-            let batch = poll(self, shards, Duration::from_millis(10));
-            for (shard, ack) in batch {
-                if got[shard as usize].replace(ack).is_none() {
-                    remaining -= 1;
-                }
-            }
-        }
-    }
-
     /// Shuts the workers down, drains every in-flight record, and returns
     /// the merged remainder plus the per-shard stages. Lossless: on return,
     /// `merged == submitted` unless a worker died, in which case this
@@ -1152,7 +1029,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
                 .output_consumer
                 .poll_wait(OUTPUT_DRAIN_BATCH, OUTPUT_WAIT)
                 .unwrap_or_else(|lagged| {
-                    unreachable!("Block-bounded output topic never truncates unread data: {lagged:?}")
+                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
                 });
             let quiet = batch.is_empty();
             self.absorb(batch);
@@ -1192,58 +1069,33 @@ impl<S: ShardStage> ShardedExecutor<S> {
     }
 }
 
-/// Publishes one directive, retrying on backpressure until it is appended.
-/// Parks on the topic's condvar between attempts instead of busy-spinning.
-///
-/// Returns `false` — abandoning the message — when the topic reports
-/// [`SpaceWaitError::NoConsumers`]: every reader is gone, so no retry can
-/// ever succeed and looping would hang the worker forever (the
-/// consumer-drop-while-parked pathology).
-fn publish_reliable<T: Clone>(topic: &Topic<T>, msg: T) -> bool {
-    let mut msg = msg;
-    loop {
-        match topic.try_publish(msg) {
-            Ok(_) => return true,
-            Err(err) => {
-                msg = err.into_inner();
-                if topic.wait_for_space(WORKER_PUBLISH_WAIT) == Err(SpaceWaitError::NoConsumers) {
-                    return false;
-                }
-            }
-        }
-    }
-}
-
 /// How many directives a worker pulls per wakeup.
 const WORKER_BATCH: usize = 256;
 /// How long a worker parks waiting for input before re-checking.
 const WORKER_PARK: Duration = Duration::from_millis(50);
-/// How long a worker parks waiting for output-topic space before retrying.
-const WORKER_PUBLISH_WAIT: Duration = Duration::from_millis(50);
-/// Upper bound on one coordinator park for input-queue space. Short so the
-/// coordinator keeps interleaving output drains (the usual reason a worker
-/// is stuck); the common wake path is the worker's consume → condvar.
+/// Upper bound on one coordinator park for input-queue space. Short so a
+/// submit keeps interleaving output drains and liveness checks; the common
+/// wake path is the worker's consume → condvar.
 const COORD_SPACE_WAIT: Duration = Duration::from_millis(1);
 /// Upper bound on one coordinator park for output data.
 const OUTPUT_WAIT: Duration = Duration::from_millis(50);
 /// How many outputs the coordinator pulls per drain step.
 const OUTPUT_DRAIN_BATCH: usize = 4096;
+/// How long a cut waits for an answer before checking worker liveness.
+const CUT_TICK: Duration = Duration::from_millis(10);
+/// How long a cut waits on live but silent workers before giving up.
+const CUT_TIMEOUT: Duration = Duration::from_secs(60);
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop<S: ShardStage>(
     shard: u32,
     mut stage: S,
-    input: Arc<Topic<Directive<S::In>>>,
+    input: Arc<Topic<Directive<S>>>,
     output: Arc<Topic<Stamped<S::Out>>>,
-    flushes: Arc<Topic<(u32, S::Flush)>>,
-    snapshots: Arc<Topic<(u32, S::Snapshot)>>,
-    checkpoints: Arc<Topic<(u32, S::Checkpoint)>>,
-    metrics: Arc<Topic<(u32, S::Metrics)>>,
 ) -> S {
     let mut consumer = input.consumer();
     let mut out_buf: Vec<Stamped<S::Out>> = Vec::new();
     // Run accumulators: consecutive records are grouped and handed to the
-    // stage's `on_batch` in one call (runs are cut at barriers and at
+    // stage's `on_batch` in one call (runs are cut at cuts and at
     // poll-batch ends); stamps ride in a parallel array and are re-zipped
     // with the outputs, so stamping is untouched by batching.
     let mut run_inputs: Vec<S::In> = Vec::new();
@@ -1267,57 +1119,24 @@ fn worker_loop<S: ShardStage>(
                     run_inputs.push(stamped.value);
                     if prompt || run_inputs.len() >= WORKER_BATCH {
                         drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                        if !flush_outputs(&output, &mut out_buf) {
-                            return stage;
-                        }
+                        flush_outputs(&output, &mut out_buf);
                     }
                 }
-                Directive::Flush => {
+                Directive::Cut(job) => {
                     drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                    if !flush_outputs(&output, &mut out_buf)
-                        || !publish_reliable(&flushes, (shard, stage.on_flush()))
-                    {
-                        return stage;
-                    }
-                }
-                Directive::Snapshot => {
-                    drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                    if !flush_outputs(&output, &mut out_buf)
-                        || !publish_reliable(&snapshots, (shard, stage.snapshot()))
-                    {
-                        return stage;
-                    }
-                }
-                Directive::Checkpoint => {
-                    drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                    if !flush_outputs(&output, &mut out_buf)
-                        || !publish_reliable(&checkpoints, (shard, stage.checkpoint()))
-                    {
-                        return stage;
-                    }
-                }
-                Directive::Metrics => {
-                    drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                    if !flush_outputs(&output, &mut out_buf)
-                        || !publish_reliable(&metrics, (shard, stage.metrics()))
-                    {
-                        return stage;
-                    }
+                    flush_outputs(&output, &mut out_buf);
+                    job(shard, &mut stage);
                 }
                 Directive::Shutdown => {
                     drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                    let _ = flush_outputs(&output, &mut out_buf);
+                    flush_outputs(&output, &mut out_buf);
                     return stage;
                 }
             }
         }
         // Batched handoff: one publish per input batch, not per record.
         drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-        if !flush_outputs(&output, &mut out_buf) {
-            // The coordinator's output consumer is gone: orderly exit
-            // instead of retrying into the void forever.
-            return stage;
-        }
+        flush_outputs(&output, &mut out_buf);
     }
 }
 
@@ -1343,32 +1162,20 @@ fn drain_run<S: ShardStage>(
     inputs.clear();
 }
 
-/// Publishes the buffered outputs losslessly, retrying refused suffixes.
-/// Parks on the topic's condvar (woken by the coordinator's drain) between
-/// attempts instead of busy-spinning.
-///
-/// Returns `false` — with the undeliverable suffix still in `buf` — when
-/// the topic has no live consumers left (the coordinator dropped its
-/// output consumer): retrying can never succeed, so the worker must stop
-/// instead of spinning forever.
-fn flush_outputs<T: Clone>(topic: &Topic<T>, buf: &mut Vec<T>) -> bool {
-    while !buf.is_empty() {
-        let (_, refused) = topic.publish_batch_all(buf.drain(..));
-        *buf = refused;
-        if !buf.is_empty()
-            && topic.wait_for_space(WORKER_PUBLISH_WAIT) == Err(SpaceWaitError::NoConsumers)
-        {
-            return false;
-        }
+/// Publishes the buffered outputs in one append. The output topic is
+/// unbounded (the admission window bounds what it holds), so nothing is
+/// ever refused and the worker never waits on the coordinator.
+fn flush_outputs<T: Clone>(topic: &Topic<T>, buf: &mut Vec<T>) {
+    if !buf.is_empty() {
+        topic.publish_batch(buf.drain(..));
     }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Doubles its input; counts records; flush reports the count.
+    /// Doubles its input and counts the records it has seen.
     struct Doubler {
         seen: u64,
     }
@@ -1376,30 +1183,25 @@ mod tests {
     impl ShardStage for Doubler {
         type In = u64;
         type Out = u64;
-        type Flush = u64;
-        type Snapshot = u64;
-        type Checkpoint = u64;
-        type Metrics = u64;
 
-        fn on_record(&mut self, input: u64) -> u64 {
-            self.seen += 1;
-            input * 2
+        fn on_batch(&mut self, inputs: &mut Vec<u64>, out: &mut Vec<u64>) {
+            self.seen += inputs.len() as u64;
+            out.extend(inputs.drain(..).map(|x| x * 2));
         }
+    }
 
-        fn on_flush(&mut self) -> u64 {
-            self.seen
-        }
+    /// Dies on a sentinel input, like a stage with a bug.
+    struct Poisoned;
 
-        fn snapshot(&self) -> u64 {
-            self.seen
-        }
+    const POISON: u64 = 13;
 
-        fn checkpoint(&self) -> u64 {
-            self.seen
-        }
+    impl ShardStage for Poisoned {
+        type In = u64;
+        type Out = u64;
 
-        fn metrics(&self) -> u64 {
-            self.seen
+        fn on_batch(&mut self, inputs: &mut Vec<u64>, out: &mut Vec<u64>) {
+            assert!(!inputs.contains(&POISON), "poison record");
+            out.append(inputs);
         }
     }
 
@@ -1468,21 +1270,21 @@ mod tests {
 
     #[test]
     fn merger_clean_path_across_epoch_boundary() {
-        // The clean resize path: epoch 0 fully drains, the boundary
-        // crosses, epoch 1 restarts the sequence space at 0 — and nothing
-        // is counted late or duplicate.
-        let mut m = SequenceMerger::new();
+        // The clean resize path: epoch 0 fully drains, and the re-spawned
+        // fleet's merger restarts the sequence space at 0 under epoch 1 —
+        // nothing is counted late or duplicate on either side.
+        let mut old = SequenceMerger::new();
         let mut out = Vec::new();
-        m.push(0, 0, "a0", &mut out);
-        m.push(0, 1, "a1", &mut out);
-        assert!(m.is_drained());
-        m.begin_epoch();
+        old.push(0, 0, "a0", &mut out);
+        old.push(0, 1, "a1", &mut out);
+        assert!(old.is_drained());
+        let mut m = SequenceMerger::with_epoch(1);
         assert_eq!(m.epoch(), 1);
         m.push(1, 1, "b1", &mut out);
         m.push(1, 0, "b0", &mut out);
         assert_eq!(out, vec!["a0", "a1", "b0", "b1"]);
-        assert_eq!(m.late(), 0);
-        assert_eq!(m.duplicates(), 0);
+        assert_eq!(old.late() + m.late(), 0);
+        assert_eq!(old.duplicates() + m.duplicates(), 0);
         assert_eq!(m.released(), 2, "sequence space restarted at the boundary");
         assert!(m.is_drained());
     }
@@ -1492,11 +1294,8 @@ mod tests {
         // A pre-resize stamp straddling the boundary: its epoch was fully
         // released before the boundary, so it is late even though its
         // sequence number (1) is not behind the new epoch's cursor (0).
-        let mut m = SequenceMerger::new();
+        let mut m = SequenceMerger::with_epoch(1);
         let mut out = Vec::new();
-        m.push(0, 0, 10, &mut out);
-        m.push(0, 1, 11, &mut out);
-        m.begin_epoch();
         m.push(0, 1, 11, &mut out);
         assert_eq!(m.late(), 1, "stale-epoch re-delivery is late, not duplicate");
         assert_eq!(m.duplicates(), 0);
@@ -1506,22 +1305,13 @@ mod tests {
         m.push(1, 1, 21, &mut out);
         assert_eq!(m.duplicates(), 1);
         m.push(1, 0, 20, &mut out);
-        assert_eq!(out, vec![10, 11, 20, 21]);
+        assert_eq!(out, vec![20, 21]);
         // A future-epoch stamp is a protocol violation, counted late
         // defensively rather than buffered against a cursor that will
         // never reach it.
         m.push(7, 0, 99, &mut out);
         assert_eq!(m.late(), 2);
         assert!(m.is_drained());
-    }
-
-    #[test]
-    #[should_panic(expected = "still buffered")]
-    fn epoch_boundary_with_buffered_values_panics() {
-        let mut m = SequenceMerger::new();
-        let mut out = Vec::new();
-        m.push(0, 2, "c", &mut out);
-        m.begin_epoch();
     }
 
     #[test]
@@ -1628,57 +1418,88 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_snapshot_barriers_account_for_every_record() {
-        let mut exec = ShardedExecutor::new(ShardedConfig::with_shards(4), |_| Doubler { seen: 0 });
-        for i in 0..200u64 {
-            exec.submit(&i, i);
+    fn cut_is_consistent_for_every_shard_count_and_window() {
+        for shards in [1usize, 2, 4] {
+            for window in [1usize, 8, 4096] {
+                let what = format!("{shards} shards, window {window}");
+                let mut exec = ShardedExecutor::new(
+                    ShardedConfig { max_in_flight: Some(window), ..ShardedConfig::with_shards(shards) },
+                    |_| Doubler { seen: 0 },
+                );
+                let (mut submitted, mut expected, mut got) = (0u64, Vec::new(), Vec::new());
+                for round in 0..4u64 {
+                    // Interleave the two submission paths, in uneven runs.
+                    for _ in 0..(7 + 11 * round) {
+                        exec.submit(&(submitted % 13), submitted);
+                        expected.push(submitted * 2);
+                        submitted += 1;
+                    }
+                    let batch: Vec<(u64, u64)> =
+                        (submitted..submitted + 29 + round).map(|i| (i % 13, i)).collect();
+                    submitted += batch.len() as u64;
+                    expected.extend(batch.iter().map(|&(_, i)| i * 2));
+                    exec.submit_batch(batch);
+
+                    let counts = exec.at_cut(|_, stage| stage.seen);
+                    assert_eq!(counts.len(), shards, "{what}");
+                    assert_eq!(counts.iter().sum::<u64>(), submitted, "{what}: cut sees every prior record");
+                    assert_eq!(exec.in_flight(), 0, "{what}: the cut merged everything");
+                    got.extend(exec.poll());
+                    assert_eq!(got, expected, "{what}: poll after the cut returns every earlier output, in order");
+                }
+                let order = exec.at_cut(|shard, _| shard);
+                assert_eq!(order, (0..shards as u32).collect::<Vec<_>>(), "{what}: results in shard order");
+                let snap = exec.obs_snapshot();
+                let h = snap.histogram("exec.submit_to_merge_ns").expect("latency recorded");
+                assert_eq!(h.count, submitted, "{what}: one submit→merge sample per record");
+                assert_eq!(snap.gauge("exec.in_flight"), Some(0), "{what}");
+                assert_eq!(snap.gauge("exec.merge.pending"), Some(0), "{what}");
+                for s in 0..shards {
+                    let depth = format!("exec.shard{s}.queue_depth");
+                    assert!(snap.gauge(&depth).is_some(), "{what}: {depth} missing");
+                }
+                let run = exec.finish();
+                assert!(run.outputs.is_empty(), "{what}");
+                assert_eq!(run.merged, submitted, "{what}");
+            }
         }
-        let counts = exec.snapshot_all();
-        assert_eq!(counts.iter().sum::<u64>(), 200, "barrier sees all prior records");
-        let flushes = exec.flush_all();
-        assert_eq!(flushes.iter().sum::<u64>(), 200);
-        let run = exec.finish();
-        assert_eq!(run.merged, 200);
     }
 
     #[test]
-    fn checkpoint_barrier_is_a_consistent_cut() {
-        let mut exec = ShardedExecutor::new(ShardedConfig::with_shards(3), |_| Doubler { seen: 0 });
-        for i in 0..150u64 {
-            exec.submit(&(i % 7), i);
-        }
-        let ckpts = exec.checkpoint_all();
-        assert_eq!(ckpts.len(), 3);
-        assert_eq!(ckpts.iter().sum::<u64>(), 150, "checkpoint covers all prior records");
-        // Restoring fresh stages from the checkpoints and continuing must
-        // account for every record exactly once.
-        for i in 150..300u64 {
-            exec.submit(&(i % 7), i);
-        }
-        let run = exec.finish();
-        assert_eq!(run.merged, 300);
-        let total: u64 = run.stages.iter().map(|s| s.seen).sum();
-        assert_eq!(total, 300);
+    fn dead_worker_surfaces_at_a_cut_promptly() {
+        let mut exec = ShardedExecutor::new(ShardedConfig::with_shards(1), |_| Poisoned);
+        exec.submit(&0u64, POISON);
+        let t0 = Instant::now();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.at_cut(|_, _| ())))
+            .expect_err("a dead worker cannot answer the cut");
+        let message = crate::operator::panic_message(err.as_ref());
+        assert!(message.contains("worker panicked"), "{message}");
+        assert!(message.contains("poison record"), "{message}");
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
     }
 
     #[test]
-    fn metrics_barrier_is_a_consistent_cut_and_obs_reflects_drain() {
-        let mut exec = ShardedExecutor::new(ShardedConfig::with_shards(2), |_| Doubler { seen: 0 });
-        for i in 0..100u64 {
-            exec.submit(&(i % 9), i);
+    fn dead_worker_with_a_full_queue_surfaces_at_a_cut() {
+        // Nothing consumes a dead worker's queue, so once it is exactly full
+        // the cut's own directive can never be queued: the send itself must
+        // notice the dead shard instead of retrying forever.
+        let mut exec = ShardedExecutor::new(
+            ShardedConfig { queue_capacity: 4, ..ShardedConfig::with_shards(1) },
+            |_| Poisoned,
+        );
+        exec.submit(&0u64, POISON);
+        while !exec.workers[0].is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let metrics = exec.metrics_all();
-        assert_eq!(metrics.len(), 2);
-        assert_eq!(metrics.iter().sum::<u64>(), 100, "every prior record is reflected");
-        let snap = exec.obs_snapshot();
-        assert_eq!(snap.gauge("exec.in_flight"), Some(0), "barrier drained everything");
-        assert_eq!(snap.gauge("exec.merge.pending"), Some(0));
-        assert!(snap.gauge("exec.shard0.queue_depth").is_some());
-        assert!(snap.gauge("exec.shard1.queue_depth").is_some());
-        let h = snap.histogram("exec.submit_to_merge_ns").expect("latency recorded");
-        assert_eq!(h.count, 100, "one submit→merge sample per record");
-        let run = exec.finish();
-        assert_eq!(run.merged, 100);
+        while exec.inputs[0].retained() < 4 {
+            exec.submit(&0u64, 1);
+        }
+        let t0 = Instant::now();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.at_cut(|_, _| ())))
+            .expect_err("a dead worker cannot answer the cut");
+        let message = crate::operator::panic_message(err.as_ref());
+        assert!(message.contains("shard 0 worker panicked"), "{message}");
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
     }
 
     #[test]
@@ -1690,9 +1511,9 @@ mod tests {
         for i in 0..50u64 {
             exec.submit(&i, i);
         }
-        // The stage-metrics barrier still works (it is independent of the
+        // A cut still reaches the stages (it is independent of the
         // executor's own instruments)…
-        assert_eq!(exec.metrics_all().iter().sum::<u64>(), 50);
+        assert_eq!(exec.at_cut(|_, stage| stage.seen).iter().sum::<u64>(), 50);
         // …but the executor records nothing about itself.
         let snap = exec.obs_snapshot();
         assert!(snap.counters().is_empty());
@@ -1708,7 +1529,6 @@ mod tests {
             ShardedConfig {
                 shards: 2,
                 queue_capacity: 4,
-                output_capacity: Some(8),
                 ..ShardedConfig::default()
             },
             |_| Doubler { seen: 0 },

@@ -55,8 +55,8 @@ struct CachedVelocity {
     eligible: bool,
 }
 
-/// Streaming synopses generator for **one** entity (compose with
-/// `datacron_stream::KeyedOperator` for multiplexed streams).
+/// Streaming synopses generator for **one** entity (a multiplexed stream
+/// needs one instance per entity, as the real-time layer keeps).
 ///
 /// Single pass, bounded state: a sliding window of the recent course plus a
 /// few scalars per motion regime.
