@@ -5,7 +5,10 @@
 //! other sources that have been transformed in RDF are collected for
 //! persistent storage, in order to support offline data analytics."
 //! The layer drains the real-time topics (critical points with their RDF
-//! and links) into the spatio-temporal knowledge store.
+//! and links) into the spatio-temporal knowledge store. The topics keep a
+//! message only until every subscriber has read it, so the layer keeps
+//! the input it synced ([`BatchState`]): a checkpoint carries it, and
+//! recovery rebuilds the store from it.
 
 use crate::config::DatacronConfig;
 use crate::realtime::RealTimeLayer;
@@ -13,21 +16,35 @@ use datacron_geo::{EquiGrid, StCellEncoder};
 use datacron_linkdisc::Link;
 use datacron_rdf::vocab;
 use datacron_store::{KnowledgeStore, StExecution, StarQuery, StoreConfig};
-use datacron_stream::bus::Consumer;
+use datacron_stream::bus::{Consumer, Topic};
 use datacron_synopses::CriticalPoint;
+use std::sync::Arc;
+
+/// The durable state of a [`BatchLayer`]: the input it synced into its
+/// store, in sync order, and where its subscriptions stood.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BatchState {
+    /// Critical points synced.
+    pub critical: Vec<CriticalPoint>,
+    /// Links synced.
+    pub links: Vec<Link>,
+    /// Next offset of the `critical-points` subscription.
+    pub critical_offset: u64,
+    /// Next offset of the `links` subscription.
+    pub links_offset: u64,
+    /// See [`BatchLayer::lagged_lost`].
+    pub lagged_lost: u64,
+}
 
 /// The batch layer around a knowledge store.
 pub struct BatchLayer {
     store: KnowledgeStore,
     critical_consumer: Option<Consumer<CriticalPoint>>,
     link_consumer: Option<Consumer<Link>>,
-    ingested_nodes: u64,
-    /// Messages the batch consumers missed because an input topic was
-    /// re-bounded and truncated under them (`Lagged`). The real-time
-    /// output topics are unbounded by default, but subsystems may re-bound
-    /// them (the live KG re-bounds `triples`); a lagging batch sync
-    /// accounts for the loss loudly instead of panicking.
-    lagged_lost: u64,
+    /// The synced input. Its offsets are those of the last
+    /// [`restore`](Self::restore); [`state`](Self::state) reads the live
+    /// ones from the consumers.
+    synced: BatchState,
 }
 
 impl BatchLayer {
@@ -39,15 +56,42 @@ impl BatchLayer {
             store: KnowledgeStore::new(encoder, store_config),
             critical_consumer: None,
             link_consumer: None,
-            ingested_nodes: 0,
-            lagged_lost: 0,
+            synced: BatchState::default(),
         }
     }
 
-    /// Subscribes to a real-time layer's output topics.
+    /// Subscribes to a real-time layer's output topics. After a
+    /// [`restore`](Self::restore), subscribe once the layer's topics are
+    /// restored: the consumers then pick up the suffix the checkpointed
+    /// layer had not synced yet.
     pub fn subscribe(&mut self, realtime: &RealTimeLayer) {
-        self.critical_consumer = Some(realtime.critical.consumer());
-        self.link_consumer = Some(realtime.links.consumer());
+        self.critical_consumer = Some(subscribe_at(&realtime.critical, self.synced.critical_offset));
+        self.link_consumer = Some(subscribe_at(&realtime.links, self.synced.links_offset));
+    }
+
+    /// The layer's durable state: everything synced so far.
+    pub fn state(&self) -> BatchState {
+        BatchState {
+            critical_offset: self.critical_consumer.as_ref().map_or(0, Consumer::offset),
+            links_offset: self.link_consumer.as_ref().map_or(0, Consumer::offset),
+            ..self.synced.clone()
+        }
+    }
+
+    /// Rebuilds a freshly built layer from a [`state`](Self::state)
+    /// snapshot by re-ingesting the synced input, and drops the
+    /// subscriptions — [`subscribe`](Self::subscribe) again once the
+    /// real-time layer is restored.
+    pub fn restore(&mut self, state: BatchState) {
+        self.critical_consumer = None;
+        self.link_consumer = None;
+        for cp in &state.critical {
+            ingest_critical(&mut self.store, cp);
+        }
+        for link in &state.links {
+            self.store.ingest(&link.to_triple());
+        }
+        self.synced = state;
     }
 
     /// Drains everything currently available from the subscribed topics
@@ -69,13 +113,11 @@ impl BatchLayer {
                         if batch.is_empty() {
                             break;
                         }
-                        for cp in batch {
-                            let node = vocab::node_iri(cp.report.entity, cp.report.ts.millis());
-                            let triples =
-                                datacron_rdf::connectors::lift_critical_points(std::slice::from_ref(&cp));
-                            self.store.ingest_node(&node, &cp.report.point, cp.report.ts, &triples);
-                            nodes += 1;
+                        for cp in &batch {
+                            ingest_critical(&mut self.store, cp);
                         }
+                        nodes += batch.len() as u64;
+                        self.synced.critical.extend(batch);
                     }
                     Err(lagged) => lost += lagged.skipped,
                 }
@@ -88,30 +130,32 @@ impl BatchLayer {
                         if batch.is_empty() {
                             break;
                         }
-                        for link in batch {
+                        for link in &batch {
                             self.store.ingest(&link.to_triple());
                         }
+                        self.synced.links.extend(batch);
                     }
                     Err(lagged) => lost += lagged.skipped,
                 }
             }
         }
-        self.ingested_nodes += nodes;
-        self.lagged_lost += lost;
+        self.synced.lagged_lost += lost;
         nodes
     }
 
     /// Semantic nodes ingested so far.
     pub fn node_count(&self) -> u64 {
-        self.ingested_nodes
+        self.synced.critical.len() as u64
     }
 
     /// Messages truncated from the input topics before the batch layer
-    /// could sync them (observed as `Lagged`). Non-zero means an input
-    /// topic was re-bounded with a capacity smaller than the sync cadence
-    /// — loud, accounted data loss, never a panic.
+    /// could sync them (observed as `Lagged`). The real-time output topics
+    /// are unbounded and never truncate unread messages, but a subsystem
+    /// may re-bound one (the live KG re-bounds `triples`); non-zero means
+    /// such a topic's capacity was smaller than the sync cadence — loud,
+    /// accounted data loss, never a panic.
     pub fn lagged_lost(&self) -> u64 {
-        self.lagged_lost
+        self.synced.lagged_lost
     }
 
     /// Total stored triples.
@@ -128,6 +172,25 @@ impl BatchLayer {
     pub fn query(&self, q: &StarQuery, exec: StExecution) -> (Vec<datacron_rdf::term::Term>, datacron_store::store::QueryStats) {
         self.store.execute_star(q, exec)
     }
+}
+
+/// Stores one critical point as a spatio-temporal semantic node.
+fn ingest_critical(store: &mut KnowledgeStore, cp: &CriticalPoint) {
+    let node = vocab::node_iri(cp.report.entity, cp.report.ts.millis());
+    let triples = datacron_rdf::connectors::lift_critical_points(std::slice::from_ref(cp));
+    store.ingest_node(&node, &cp.report.point, cp.report.ts, &triples);
+}
+
+/// Subscribes to `topic` and moves past anything before `offset`: a
+/// restored topic may still retain messages the layer synced before the
+/// checkpoint, held there by a slower reader that did not survive it.
+fn subscribe_at<T: Clone>(topic: &Arc<Topic<T>>, offset: u64) -> Consumer<T> {
+    let mut consumer = topic.consumer();
+    let behind = offset.saturating_sub(consumer.offset());
+    if behind > 0 {
+        let _ = consumer.poll(behind as usize);
+    }
+    consumer
 }
 
 #[cfg(test)]

@@ -17,7 +17,11 @@
 //!    checkpoint, replays the WAL suffix (deduped by sequence number)
 //!    through the ordinary ingest path with WAL appends suppressed, and
 //!    resumes. A recovered run's outputs, flush and health are
-//!    bit-identical to an uninterrupted run over the same input.
+//!    bit-identical to an uninterrupted run over the same input. Topics
+//!    keep only what a live consumer has not read, so the checkpoint
+//!    carries the batch layer's synced input ([`BatchState`]); recovery
+//!    rebuilds its store from it and re-subscribes it to the restored
+//!    topics.
 //!
 //! WAL I/O errors during normal operation are absorbed and counted, never
 //! panicked on: the pipeline keeps processing with degraded durability.
@@ -25,6 +29,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use crate::batch::BatchState;
 use crate::realtime::{
     DeadLetter, EntityCheckpoint, LayerState, RejectReason, SupervisionCheckpoint,
 };
@@ -194,6 +199,7 @@ pub(crate) fn maybe_checkpoint(system: &mut DatacronSystem) {
         total_area_events: system.total_area_events,
         as_of: system.as_of,
         layer: system.realtime.checkpoint_state(),
+        batch: system.batch.state(),
     };
     let payload = encode_to_vec(&state);
     let seq = system.total_reports;
@@ -341,12 +347,18 @@ impl DatacronSystem {
         self.total_detections = state.total_detections;
         self.total_area_events = state.total_area_events;
         self.as_of = state.as_of;
+        // The batch layer lets go of the fresh topics before they are
+        // restored, then re-subscribes as their first reader: it inherits
+        // exactly the suffix it had not synced at the checkpoint.
+        self.batch.restore(state.batch);
         self.realtime.restore_state(state.layer);
+        self.batch.subscribe(&self.realtime);
     }
 }
 
-/// The complete durable state of a [`DatacronSystem`]: its counters plus
-/// the real-time layer's [`LayerState`]. This is the checkpoint payload.
+/// The complete durable state of a [`DatacronSystem`]: its counters, the
+/// real-time layer's [`LayerState`] and the batch layer's [`BatchState`].
+/// This is the checkpoint payload.
 #[derive(Debug, Clone)]
 pub struct SystemState {
     /// Lifetime report count (the WAL sequence this state covers).
@@ -359,6 +371,8 @@ pub struct SystemState {
     pub as_of: Timestamp,
     /// The real-time layer.
     pub layer: LayerState,
+    /// The batch layer.
+    pub batch: BatchState,
 }
 
 // --- codecs for the core-owned state types ------------------------------
@@ -541,6 +555,7 @@ impl Encode for SystemState {
         w.put_u64(self.total_area_events);
         self.as_of.encode(w);
         self.layer.encode(w);
+        self.batch.encode(w);
     }
 }
 
@@ -552,6 +567,29 @@ impl Decode for SystemState {
             total_area_events: r.get_u64()?,
             as_of: Decode::decode(r)?,
             layer: Decode::decode(r)?,
+            batch: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Encode for BatchState {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.critical.encode(w);
+        self.links.encode(w);
+        w.put_u64(self.critical_offset);
+        w.put_u64(self.links_offset);
+        w.put_u64(self.lagged_lost);
+    }
+}
+
+impl Decode for BatchState {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            critical: Decode::decode(r)?,
+            links: Decode::decode(r)?,
+            critical_offset: r.get_u64()?,
+            links_offset: r.get_u64()?,
+            lagged_lost: r.get_u64()?,
         })
     }
 }

@@ -56,7 +56,7 @@ pub mod sharded;
 pub mod spill;
 pub mod system;
 
-pub use batch::BatchLayer;
+pub use batch::{BatchLayer, BatchState};
 pub use kg::{KgHealth, LiveKg, LiveKgConfig};
 pub use config::{DatacronConfig, Domain};
 pub use durable::{DurabilityConfig, DurabilityHealth, RecoveryReport, SystemState};

@@ -481,6 +481,9 @@ pub struct RealTimeLayer {
     /// state: sampling only shapes timing histograms, never outputs.
     metric_ticks: u64,
     // --- topics ---
+    // Unbounded: each keeps a message only until every consumer registered
+    // at publish time has read it, so a topic nobody subscribes to holds
+    // nothing. Subscribe before the first ingest to observe a stream.
     /// Accepted (clean) reports that completed the full chain.
     pub cleaned: Arc<Topic<PositionReport>>,
     /// Trajectory synopses.
@@ -1306,8 +1309,10 @@ impl RealTimeLayer {
 
     /// Captures the layer's complete durable state: per-entity operator
     /// snapshots, supervision records, layer counters, area-monitor
-    /// residency, linker/RDF counters and all six output topics. Entities
-    /// are sorted, so two identical runs produce byte-identical encodings.
+    /// residency, linker/RDF counters and all six output topics (offsets,
+    /// counters and the messages some consumer has not read yet — empty
+    /// for a topic nobody subscribes to). Entities are sorted, so two
+    /// identical runs produce byte-identical encodings.
     ///
     /// Deliberately excluded: the fusion front-end buffer (records inside
     /// it have not yet been write-ahead logged, so recovery re-feeds them

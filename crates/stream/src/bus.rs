@@ -7,10 +7,19 @@
 //! paper's Kafka deployment does. Thread-safe: producers and consumers may
 //! live on different threads.
 //!
+//! # Retention
+//!
+//! Like Kafka, a topic keeps a message only while some reader still needs
+//! it. An unbounded topic retains exactly the messages a live registered
+//! consumer has not read yet: a publish with no consumer appends nothing
+//! (its offset is assigned and it counts as `reclaimed`), and every poll
+//! or consumer drop reclaims the prefix all live consumers have passed. A
+//! consumer that joins while others are live sees only the future.
+//!
 //! # Failure model
 //!
-//! Surveillance feeds overrun slow consumers by design, so an unbounded
-//! log is a memory leak with a delay. A topic may therefore be *bounded*
+//! Surveillance feeds overrun slow consumers by design, so a topic whose
+//! consumer stalls grows without limit. A topic may therefore be *bounded*
 //! ([`Topic::bounded`]): when the retained window is full, the configured
 //! [`OverflowPolicy`] decides between
 //!
@@ -50,7 +59,8 @@ pub enum OverflowPolicy {
 /// Capacity and overflow behaviour of a topic.
 #[derive(Debug, Clone)]
 pub struct TopicConfig {
-    /// Maximum retained messages; `None` = unbounded.
+    /// Maximum retained messages; `None` = unbounded, keeping each message
+    /// until every live consumer has read it.
     pub capacity: Option<usize>,
     /// What to do when full.
     pub policy: OverflowPolicy,
@@ -146,8 +156,9 @@ pub struct TopicStats {
     /// Messages truncated by `DropOldest` while unread by some consumer
     /// position (these are what lagging consumers observe as skipped).
     pub dropped: u64,
-    /// Messages reclaimed after every registered consumer read them
-    /// (lossless truncation under `Block`).
+    /// Messages no live consumer needs any more, so never or no longer
+    /// retained: read by every registered consumer, or published to an
+    /// unbounded topic with no consumer. Lossless truncation.
     pub reclaimed: u64,
     /// Times a `Block` publish had to wait.
     pub blocked: u64,
@@ -213,14 +224,25 @@ impl<T> Inner<T> {
     /// Truncates the prefix every registered consumer has already read.
     /// Returns how many messages were reclaimed.
     fn reclaim_consumed(&mut self) -> usize {
-        let Some(min) = self.min_consumer_offset() else {
-            return 0;
-        };
-        let upto = min.min(self.end());
-        let n = upto.saturating_sub(self.base) as usize;
-        for _ in 0..n {
-            self.log.pop_front();
+        match self.min_consumer_offset() {
+            Some(min) => self.reclaim_to(min),
+            None => 0,
         }
+    }
+
+    /// The unbounded retention rule: keeps exactly the messages some live
+    /// consumer has not read — none when no consumer is live. Returns
+    /// whether one is.
+    fn retain_unread(&mut self) -> bool {
+        let min = self.min_consumer_offset();
+        self.reclaim_to(min.unwrap_or(u64::MAX));
+        min.is_some()
+    }
+
+    fn reclaim_to(&mut self, offset: u64) -> usize {
+        let upto = offset.min(self.end());
+        let n = upto.saturating_sub(self.base) as usize;
+        self.log.drain(..n);
         self.base = upto.max(self.base);
         self.stats.reclaimed += n as u64;
         n
@@ -280,14 +302,25 @@ impl<T: Clone> Topic<T> {
         &self.config
     }
 
+    /// Locks for a publish and decides, once for all of its messages,
+    /// whether they are kept: an unbounded topic with no live consumer
+    /// keeps none.
+    fn lock_for_append(&self) -> (std::sync::MutexGuard<'_, Inner<T>>, bool) {
+        let mut inner = self.lock();
+        let keep = self.config.capacity.is_some() || inner.retain_unread();
+        (inner, keep)
+    }
+
     /// The append path shared by single and batched publishes: applies the
     /// overflow policy (possibly waiting on the progress condvar under
-    /// `Block`) and appends, threading the lock guard through so a batch can
-    /// append many messages under one acquisition.
+    /// `Block`) and appends — or, when not `keep`, only assigns the offset —
+    /// threading the lock guard through so a batch can append many messages
+    /// under one acquisition.
     fn append_locked<'a>(
         &'a self,
         mut inner: std::sync::MutexGuard<'a, Inner<T>>,
         msg: T,
+        keep: bool,
     ) -> (std::sync::MutexGuard<'a, Inner<T>>, Result<u64, PublishError<T>>) {
         if let Some(capacity) = self.config.capacity {
             let mut waited = false;
@@ -354,7 +387,13 @@ impl<T: Clone> Topic<T> {
             }
         }
         let offset = inner.end();
-        inner.log.push_back(msg);
+        if keep {
+            inner.log.push_back(msg);
+        } else {
+            // Nobody could ever read it: the log stays empty at `base`.
+            inner.base += 1;
+            inner.stats.reclaimed += 1;
+        }
         inner.stats.published += 1;
         (inner, Ok(offset))
     }
@@ -362,8 +401,8 @@ impl<T: Clone> Topic<T> {
     /// Appends one message, returning its offset, or an error carrying the
     /// message back when the topic is full and the policy refuses it.
     pub fn try_publish(&self, msg: T) -> Result<u64, PublishError<T>> {
-        let inner = self.lock();
-        let (inner, result) = self.append_locked(inner, msg);
+        let (inner, keep) = self.lock_for_append();
+        let (inner, result) = self.append_locked(inner, msg, keep);
         drop(inner);
         if result.is_ok() {
             // Wake consumers waiting in `poll_wait` for new data.
@@ -407,9 +446,9 @@ impl<T: Clone> Topic<T> {
     ) -> Option<u64> {
         let mut first = None;
         let mut appended = false;
-        let mut inner = self.lock();
+        let (mut inner, keep) = self.lock_for_append();
         for msg in msgs {
-            let (guard, result) = self.append_locked(inner, msg);
+            let (guard, result) = self.append_locked(inner, msg, keep);
             inner = guard;
             match result {
                 Ok(offset) => {
@@ -465,7 +504,9 @@ impl<T: Clone> Topic<T> {
     /// Restores a checkpointed snapshot, replacing the current contents and
     /// counters. Registered consumers keep their offsets; restore before
     /// consumers advance (i.e. immediately after construction) so offsets
-    /// and contents stay coherent. Waiters are notified.
+    /// and contents stay coherent. On an unbounded topic, restore before
+    /// anything subscribes: the first [`consumer`](Self::consumer) then
+    /// inherits the retained messages. Waiters are notified.
     pub fn restore_state(&self, base: u64, stats: TopicStats, retained: Vec<T>) {
         {
             let mut inner = self.lock();
@@ -489,42 +530,25 @@ impl<T: Clone> Topic<T> {
         }
     }
 
-    /// Creates a registered consumer starting at the oldest retained
-    /// message.
+    /// Creates a registered consumer. On a bounded topic it starts at the
+    /// oldest retained message. On an unbounded topic it sees only what is
+    /// published from now on while other consumers are live; with none live
+    /// it inherits whatever is retained (a restored checkpoint's unread
+    /// suffix, otherwise nothing).
     pub fn consumer(self: &Arc<Self>) -> Consumer<T> {
-        let base = self.lock().base;
-        self.consumer_from(base)
-    }
-
-    /// Creates a registered consumer starting at the current end of the log
-    /// (sees only future messages).
-    pub fn consumer_at_end(self: &Arc<Self>) -> Consumer<T> {
-        let end = self.lock().end();
-        self.consumer_from(end)
-    }
-
-    fn consumer_from(self: &Arc<Self>, offset: u64) -> Consumer<T> {
-        let pos = Arc::new(AtomicU64::new(offset));
-        self.lock().consumers.push(Arc::downgrade(&pos));
+        let mut inner = self.lock();
+        let start = match self.config.capacity {
+            None if inner.min_consumer_offset().is_some() => inner.end(),
+            _ => inner.base,
+        };
+        let pos = Arc::new(AtomicU64::new(start));
+        inner.consumers.push(Arc::downgrade(&pos));
+        drop(inner);
         Consumer {
             topic: Arc::clone(self),
             pos,
             skipped_total: 0,
         }
-    }
-
-    /// Reads messages `[from, from + max)` without any consumer state.
-    /// Offsets below the retained window are skipped silently — use a
-    /// [`Consumer`] to observe truncation as [`Lagged`].
-    pub fn read(&self, from: u64, max: usize) -> Vec<T> {
-        let inner = self.lock();
-        let from = from.max(inner.base);
-        if from >= inner.end() {
-            return Vec::new();
-        }
-        let start = (from - inner.base) as usize;
-        let stop = inner.log.len().min(start.saturating_add(max));
-        inner.log.range(start..stop).cloned().collect()
     }
 
     /// Waits until the topic has room for at least one more message, or
@@ -593,10 +617,15 @@ impl<T> Topic<T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Called by consumers after advancing; wakes blocked producers.
+    /// Called by consumers after advancing or leaving: reclaims what an
+    /// unbounded topic no longer needs and wakes blocked producers.
     fn note_progress(&self) {
         // Taking the lock orders the offset store before the wakeup.
-        drop(self.lock());
+        let mut inner = self.lock();
+        if self.config.capacity.is_none() {
+            inner.retain_unread();
+        }
+        drop(inner);
         self.progress.notify_all();
     }
 }
@@ -723,13 +752,6 @@ impl<T: Clone> Consumer<T> {
         self.topic.len().saturating_sub(self.offset())
     }
 
-    /// Rewinds to the oldest *retained* message (offset 0 on an untruncated
-    /// topic).
-    pub fn rewind(&mut self) {
-        let base = self.topic.lock().base;
-        self.pos.store(base, Ordering::Release);
-    }
-
     /// Jumps past every currently published message: the next poll starts
     /// at the topic's end offset, and nothing skipped counts as lag. For
     /// consumers whose owner already processed the topic's contents out of
@@ -742,18 +764,18 @@ impl<T: Clone> Consumer<T> {
 }
 
 impl<T> Drop for Consumer<T> {
-    /// Deregisters eagerly and wakes parked producers: a producer blocked
-    /// in `wait_for_space` / a `Block` publish must re-evaluate whether
-    /// any consumer can still free space, or it would sleep out its full
-    /// timeout against a topic nobody will ever drain.
+    /// Deregisters eagerly, releases what only this consumer still needed,
+    /// and wakes parked producers: a producer blocked in `wait_for_space` /
+    /// a `Block` publish must re-evaluate whether any consumer can still
+    /// free space, or it would sleep out its full timeout against a topic
+    /// nobody will ever drain.
     fn drop(&mut self) {
-        let mut inner = self.topic.lock();
         let mine = Arc::as_ptr(&self.pos);
-        inner
+        self.topic
+            .lock()
             .consumers
             .retain(|w| w.strong_count() > 0 && !std::ptr::eq(w.as_ptr(), mine));
-        drop(inner);
-        self.topic.progress.notify_all();
+        self.topic.note_progress();
     }
 }
 
@@ -841,32 +863,13 @@ mod tests {
     #[test]
     fn independent_consumers() {
         let topic = Topic::new("raw");
-        topic.publish_batch(0..5);
         let mut a = topic.consumer();
         let mut b = topic.consumer();
+        topic.publish_batch(0..5);
         assert_eq!(a.drain().expect("no lag"), vec![0, 1, 2, 3, 4]);
         assert_eq!(b.poll(2).expect("no lag"), vec![0, 1]);
         assert_eq!(b.lag(), 3);
-    }
-
-    #[test]
-    fn consumer_at_end_sees_only_future() {
-        let topic = Topic::new("raw");
-        topic.publish(1);
-        let mut c = topic.consumer_at_end();
-        assert!(c.poll(10).expect("no lag").is_empty());
-        topic.publish(2);
-        assert_eq!(c.poll(10).expect("no lag"), vec![2]);
-    }
-
-    #[test]
-    fn rewind_replays() {
-        let topic = Topic::new("raw");
-        topic.publish_batch([10, 20]);
-        let mut c = topic.consumer();
-        assert_eq!(c.drain().expect("no lag"), vec![10, 20]);
-        c.rewind();
-        assert_eq!(c.drain().expect("no lag"), vec![10, 20]);
+        assert_eq!(topic.retained(), 3, "only what the slower consumer has not read");
     }
 
     #[test]
@@ -884,6 +887,7 @@ mod tests {
     #[test]
     fn concurrent_producers_and_consumer() {
         let topic: Arc<Topic<u64>> = Topic::new("raw");
+        let mut c = topic.consumer();
         let producers: Vec<_> = (0..4)
             .map(|p| {
                 let t = Arc::clone(&topic);
@@ -897,7 +901,6 @@ mod tests {
         for p in producers {
             p.join().expect("producer thread");
         }
-        let mut c = topic.consumer();
         let all = c.drain().expect("no lag");
         assert_eq!(all.len(), 4000);
         // Per-producer order is preserved.
@@ -1144,15 +1147,5 @@ mod tests {
             "publisher blocked {:?} despite the last consumer dropping",
             started.elapsed()
         );
-    }
-
-    #[test]
-    fn read_clamps_to_retained_window() {
-        let topic = Topic::bounded("raw", 2, OverflowPolicy::DropOldest);
-        for i in 0..5u32 {
-            topic.publish(i);
-        }
-        assert_eq!(topic.read(0, 10), vec![3, 4], "truncated prefix skipped");
-        assert_eq!(topic.base_offset(), 3);
     }
 }

@@ -63,8 +63,8 @@
 //! ## Failure model
 //!
 //! The executor is lossless by construction: submission retries refused
-//! publishes (backpressure, not loss), the output topic is unbounded (the
-//! admission window bounds what it holds), and [`ShardedExecutor::finish`] drains everything and reports
+//! publishes (backpressure, not loss), the output topic is unbounded (it
+//! retains only unpolled outputs, which the admission window caps), and [`ShardedExecutor::finish`] drains everything and reports
 //! `submitted == merged` (plus late/duplicate counters from the merger,
 //! which must be zero). A worker that dies (a stage panic escaping
 //! `on_batch`, or a cut closure that panics) is detected at the next
@@ -583,8 +583,9 @@ impl<S: ShardStage> ShardedExecutor<S> {
             assigner.shards(),
             "config and assigner disagree on the shard count"
         );
-        // The merged-output topic is unbounded: the admission window bounds
-        // what it can hold, and the coordinator drains it on every submit.
+        // The merged-output topic is unbounded but keeps only what the
+        // coordinator has not polled yet: it drains the topic on every
+        // submit, and the admission window caps what is unpolled.
         let output = Topic::new("shard-outputs");
         let output_consumer = output.consumer();
         let obs = if config.metrics {

@@ -38,6 +38,9 @@ fn run(seed: u64) -> (usize, usize, u64) {
     layer.attach_entity_stage(|r: &PositionReport| {
         assert!(r.entity != EntityId::vessel(3), "poison record");
     });
+    // Subscribe before ingesting: a topic keeps nothing for a reader that
+    // joins later.
+    let mut dead_rx = layer.dead_letters.consumer();
 
     let source = ChaosSource::new(fleet(4, 50).into_iter(), FaultPlan::chaos(seed));
     let mut accepted = 0usize;
@@ -47,11 +50,7 @@ fn run(seed: u64) -> (usize, usize, u64) {
         }
     }
     let health = layer.health();
-    let dead = layer
-        .dead_letters
-        .consumer()
-        .drain()
-        .expect("unbounded topic never lags");
+    let dead = dead_rx.drain().expect("unbounded topic never lags");
 
     println!("seed {seed}:");
     println!("  status               : {:?}", health.status);

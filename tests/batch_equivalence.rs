@@ -10,12 +10,17 @@
 
 use datacron::core::realtime::{IngestOutput, RealTimeLayer};
 use datacron::core::sharded::ShardedRealTimeLayer;
-use datacron::core::DatacronConfig;
+use datacron::core::{DatacronConfig, DeadLetter};
 use datacron::data::rng::SeededRng;
 use datacron::geo::{BoundingBox, EntityId, GeoPoint, Polygon, PositionReport, RecordBatch, Timestamp};
+use datacron::linkdisc::Link;
 use datacron::obs::MetricsSnapshot;
+use datacron::rdf::term::Triple;
+use datacron::stream::bus::{Consumer, Topic};
 use datacron::stream::faults::{ChaosSource, FaultPlan};
+use datacron::stream::lowlevel::AreaEvent;
 use datacron::stream::parallel::ShardedConfig;
+use datacron::synopses::CriticalPoint;
 
 const SEEDS: [u64; 4] = [7, 42, 1234, 0xDEAD_BEEF];
 /// Odd chunk size, so batch boundaries never align with entity or leg
@@ -114,28 +119,66 @@ struct RunTrace {
     topics: Vec<String>,
 }
 
+/// Consumers on all six output topics, registered before the first
+/// ingest: a topic keeps nothing for a reader that joins later.
+struct Taps {
+    cleaned: Consumer<PositionReport>,
+    critical: Consumer<CriticalPoint>,
+    area_events: Consumer<AreaEvent>,
+    triples: Consumer<Triple>,
+    links: Consumer<Link>,
+    dead_letters: Consumer<DeadLetter>,
+}
+
+impl Taps {
+    fn subscribe(layer: &RealTimeLayer) -> Self {
+        Self {
+            cleaned: layer.cleaned.consumer(),
+            critical: layer.critical.consumer(),
+            area_events: layer.area_events.consumer(),
+            triples: layer.triples.consumer(),
+            links: layer.links.consumer(),
+            dead_letters: layer.dead_letters.consumer(),
+        }
+    }
+
+    /// Each topic's contents in Debug form.
+    fn drain(mut self, layer: &RealTimeLayer) -> Vec<String> {
+        vec![
+            drain_whole(&mut self.cleaned, &layer.cleaned),
+            drain_whole(&mut self.critical, &layer.critical),
+            drain_whole(&mut self.area_events, &layer.area_events),
+            drain_whole(&mut self.triples, &layer.triples),
+            drain_whole(&mut self.links, &layer.links),
+            drain_whole(&mut self.dead_letters, &layer.dead_letters),
+        ]
+    }
+}
+
+/// Drains a tap, asserting it read everything the topic ever published
+/// (so the comparison can never pass on two empty streams).
+fn drain_whole<T: Clone + std::fmt::Debug>(rx: &mut Consumer<T>, topic: &Topic<T>) -> String {
+    let all = rx.drain().expect("no lag");
+    assert_eq!(all.len() as u64, topic.stats().published, "{}: the whole topic", topic.name());
+    format!("{all:?}")
+}
+
 /// Captures the run's aggregate state. Counter snapshot is taken before
 /// draining the topics (drains bump topic `consumed` stats).
-fn finish_trace(mut layer: RealTimeLayer, outputs: Vec<String>) -> RunTrace {
+fn finish_trace(mut layer: RealTimeLayer, taps: Taps, outputs: Vec<String>) -> RunTrace {
     let flush = format!("{:?}", layer.flush());
     let health = format!("{:?}", layer.health());
     let counters = layer.metrics_snapshot().counters_only();
-    let topics = vec![
-        format!("{:?}", layer.cleaned.consumer().drain().expect("no lag")),
-        format!("{:?}", layer.critical.consumer().drain().expect("no lag")),
-        format!("{:?}", layer.area_events.consumer().drain().expect("no lag")),
-        format!("{:?}", layer.triples.consumer().drain().expect("no lag")),
-        format!("{:?}", layer.links.consumer().drain().expect("no lag")),
-        format!("{:?}", layer.dead_letters.consumer().drain().expect("no lag")),
-    ];
+    let topics = taps.drain(&layer);
     RunTrace { outputs, flush, health, counters, topics }
 }
 
 /// Reference arm: one `ingest` call per record.
 fn trace_per_record(input: &[PositionReport], poisoned: bool) -> RunTrace {
     let mut layer = make_layer(poisoned);
+    let taps = Taps::subscribe(&layer);
     let outputs = input.iter().map(|r| format!("{:?}", layer.ingest(*r))).collect();
-    finish_trace(layer, outputs)
+    finish_trace(layer, taps, outputs)
 }
 
 /// Batch arm: `ingest_batch` in CHUNK-sized slices, recycling every output
@@ -143,6 +186,7 @@ fn trace_per_record(input: &[PositionReport], poisoned: bool) -> RunTrace {
 /// later record produces).
 fn trace_batched(input: &[PositionReport], poisoned: bool) -> RunTrace {
     let mut layer = make_layer(poisoned);
+    let taps = Taps::subscribe(&layer);
     let mut outputs = Vec::with_capacity(input.len());
     for chunk in input.chunks(CHUNK) {
         for out in layer.ingest_batch(chunk.iter().copied()) {
@@ -150,13 +194,14 @@ fn trace_batched(input: &[PositionReport], poisoned: bool) -> RunTrace {
             layer.recycle(out);
         }
     }
-    finish_trace(layer, outputs)
+    finish_trace(layer, taps, outputs)
 }
 
 /// Columnar arm: rows packed into a reused [`RecordBatch`] and ingested
 /// through `ingest_record_batch`.
 fn trace_columnar(input: &[PositionReport], poisoned: bool) -> RunTrace {
     let mut layer = make_layer(poisoned);
+    let taps = Taps::subscribe(&layer);
     let mut outputs = Vec::with_capacity(input.len());
     let mut batch = RecordBatch::with_capacity(CHUNK);
     for chunk in input.chunks(CHUNK) {
@@ -169,7 +214,7 @@ fn trace_columnar(input: &[PositionReport], poisoned: bool) -> RunTrace {
             layer.recycle(out);
         }
     }
-    finish_trace(layer, outputs)
+    finish_trace(layer, taps, outputs)
 }
 
 const TOPIC_NAMES: [&str; 6] = ["cleaned", "critical", "area_events", "triples", "links", "dead_letters"];

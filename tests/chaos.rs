@@ -8,7 +8,7 @@
 //!   run for the records that survive injection.
 
 use datacron::core::realtime::RealTimeLayer;
-use datacron::core::{ComponentStatus, DatacronConfig, RejectReason};
+use datacron::core::{ComponentStatus, DatacronConfig, DeadLetter, RejectReason};
 use datacron::geo::{BoundingBox, EntityId, GeoPoint, PositionReport, Timestamp};
 use datacron::stream::faults::{ChaosSource, FaultPlan};
 use std::collections::HashMap;
@@ -45,16 +45,24 @@ fn fresh_layer() -> RealTimeLayer {
     RealTimeLayer::new(DatacronConfig::maritime(extent()), Vec::new(), Vec::new())
 }
 
-/// Feeds the stream through a layer; returns the cleaned-topic contents.
-fn run_pipeline(layer: &mut RealTimeLayer, stream: impl Iterator<Item = PositionReport>) -> Vec<PositionReport> {
+/// Feeds the stream through a layer; returns the cleaned-topic and
+/// dead-letter-topic contents. Both are subscribed before the first
+/// ingest (a topic keeps nothing for a reader that joins later), and each
+/// drained stream must be everything its topic published.
+fn run_pipeline(
+    layer: &mut RealTimeLayer,
+    stream: impl Iterator<Item = PositionReport>,
+) -> (Vec<PositionReport>, Vec<DeadLetter>) {
+    let mut cleaned_rx = layer.cleaned.consumer();
+    let mut dead_rx = layer.dead_letters.consumer();
     for r in stream {
         layer.ingest(r);
     }
-    layer
-        .cleaned
-        .consumer()
-        .drain()
-        .expect("unbounded topic never lags")
+    let cleaned = cleaned_rx.drain().expect("unbounded topic never lags");
+    let dead = dead_rx.drain().expect("unbounded topic never lags");
+    assert_eq!(cleaned.len() as u64, layer.cleaned.stats().published, "whole cleaned topic");
+    assert_eq!(dead.len() as u64, layer.dead_letters.stats().published, "whole dead-letter topic");
+    (cleaned, dead)
 }
 
 /// Bit-exact equality (f64 compared by bits, so NaN corruption can never
@@ -81,17 +89,12 @@ fn is_bit_subsequence(sub: &[PositionReport], full: &[PositionReport]) -> bool {
 fn check_plan(plan: FaultPlan, baseline_cleaned: &[PositionReport], input: &[PositionReport]) {
     let mut chaos = ChaosSource::new(input.iter().copied(), plan.clone());
     let mut layer = fresh_layer();
-    let cleaned = run_pipeline(&mut layer, chaos.by_ref());
+    let (cleaned, dead) = run_pipeline(&mut layer, chaos.by_ref());
     let stats = chaos.stats();
 
     // 1. Accounting: every record the injector emitted was either fully
     // processed (cleaned) or dead-lettered — nothing vanished inside the
     // pipeline.
-    let dead = layer
-        .dead_letters
-        .consumer()
-        .drain()
-        .expect("unbounded topic never lags");
     assert_eq!(
         cleaned.len() as u64 + dead.len() as u64,
         stats.emitted(),
@@ -142,7 +145,7 @@ fn check_plan(plan: FaultPlan, baseline_cleaned: &[PositionReport], input: &[Pos
 
 fn baseline(input: &[PositionReport]) -> Vec<PositionReport> {
     let mut layer = fresh_layer();
-    let cleaned = run_pipeline(&mut layer, input.iter().copied());
+    let (cleaned, _) = run_pipeline(&mut layer, input.iter().copied());
     assert_eq!(cleaned.len(), input.len(), "the benign fleet is fully accepted");
     assert!(layer.health().is_all_ok());
     cleaned
@@ -218,9 +221,9 @@ fn chaos_control_arm_is_transparent() {
     let input = fleet(2, 100);
     let base = baseline(&input);
     let mut layer = fresh_layer();
-    let cleaned = run_pipeline(&mut layer, ChaosSource::new(input.iter().copied(), FaultPlan::none()));
+    let (cleaned, dead) = run_pipeline(&mut layer, ChaosSource::new(input.iter().copied(), FaultPlan::none()));
     assert_eq!(cleaned.len(), base.len());
     assert!(cleaned.iter().zip(base.iter()).all(|(a, b)| bit_eq(a, b)));
-    assert_eq!(layer.dead_letters.len(), 0);
+    assert!(dead.is_empty());
     assert_eq!(layer.health().status, ComponentStatus::Ok);
 }

@@ -13,11 +13,13 @@
 
 use datacron::core::realtime::RealTimeLayer;
 use datacron::core::sharded::ShardedRealTimeLayer;
-use datacron::core::{DatacronConfig, RejectReason};
+use datacron::core::{DatacronConfig, DeadLetter, RejectReason};
 use datacron::geo::{BoundingBox, EntityId, GeoPoint, PositionReport, Timestamp};
 use datacron::obs::MetricsSnapshot;
 use datacron::stream::faults::{ChaosSource, FaultPlan};
+use datacron::stream::bus::Consumer;
 use datacron::stream::parallel::ShardedConfig;
+use std::sync::{Arc, Mutex};
 
 /// The eight fixed chaos seeds; CI runs the same set nightly.
 const SEEDS: [u64; 8] = [1, 7, 23, 42, 97, 1234, 0xDEAD_BEEF, u64::MAX / 3];
@@ -57,7 +59,7 @@ fn poison(layer: &mut RealTimeLayer) {
 
 /// Asserts the conservation law and the exact reconciliation of the
 /// counter series against the dead-letter records and topic stats.
-fn check_conservation(snap: &MetricsSnapshot, ingested: u64, dead: &[datacron::core::DeadLetter], seed: u64) {
+fn check_conservation(snap: &MetricsSnapshot, ingested: u64, dead: &[DeadLetter], seed: u64) {
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     assert_eq!(c("ingest.records"), ingested, "seed {seed}: every delivered record counted");
     assert_eq!(
@@ -92,6 +94,7 @@ fn check_conservation(snap: &MetricsSnapshot, ingested: u64, dead: &[datacron::c
         c("ingest.rejected.cleaning") + c("ingest.rejected.quarantined") + c("ingest.rejected.panic"),
         "seed {seed}"
     );
+    // The drained stream is the whole topic.
     assert_eq!(c("topic.dead-letters.published"), dead.len() as u64, "seed {seed}");
     assert_eq!(c("topic.cleaned.published"), c("ingest.accepted"), "seed {seed}");
     // Supervision counters agree with the panic-labelled dead letters.
@@ -111,6 +114,9 @@ fn conservation_holds_under_chaos_single_threaded() {
         let mut chaos = ChaosSource::new(input.iter().copied(), FaultPlan::chaos(seed));
         let mut layer = RealTimeLayer::new(config(), Vec::new(), Vec::new());
         poison(&mut layer);
+        // Subscribed before the first ingest: a topic keeps nothing for a
+        // reader that joins later.
+        let mut dead_rx = layer.dead_letters.consumer();
         let mut ingested = 0u64;
         for r in chaos.by_ref() {
             layer.ingest(r);
@@ -118,7 +124,7 @@ fn conservation_holds_under_chaos_single_threaded() {
         }
         layer.flush();
         assert_eq!(ingested, chaos.stats().emitted(), "seed {seed}");
-        let dead = layer.dead_letters.consumer().drain().expect("unbounded topic never lags");
+        let dead = dead_rx.drain().expect("unbounded topic never lags");
         check_conservation(&layer.metrics_snapshot(), ingested, &dead, seed);
     }
 }
@@ -129,12 +135,19 @@ fn conservation_holds_under_chaos_sharded() {
     for seed in SEEDS {
         let mut chaos = ChaosSource::new(input.iter().copied(), FaultPlan::chaos(seed));
         let stream: Vec<PositionReport> = chaos.by_ref().collect();
+        // Every shard's dead-letter topic is subscribed as its layer is
+        // built, before the first ingest.
+        let taps: Arc<Mutex<Vec<Consumer<DeadLetter>>>> = Arc::default();
+        let setup_taps = Arc::clone(&taps);
         let mut sharded = ShardedRealTimeLayer::with_setup(
             config(),
             Vec::new(),
             Vec::new(),
             ShardedConfig::with_shards(4),
-            poison,
+            move |layer| {
+                poison(layer);
+                setup_taps.lock().unwrap().push(layer.dead_letters.consumer());
+            },
         );
         sharded.ingest_batch(stream.iter().copied());
         sharded.flush();
@@ -144,9 +157,10 @@ fn conservation_holds_under_chaos_sharded() {
         let snap = sharded.metrics();
         let done = sharded.finish();
         let mut dead = Vec::new();
-        for layer in &done.layers {
-            dead.extend(layer.dead_letters.consumer().drain().expect("unbounded topic never lags"));
+        for tap in taps.lock().unwrap().iter_mut() {
+            dead.extend(tap.drain().expect("unbounded topic never lags"));
         }
+        assert_eq!(done.layers.len(), 4);
         check_conservation(&snap, stream.len() as u64, &dead, seed);
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datacron::core::realtime::RealTimeLayer;
-use datacron::core::DatacronConfig;
+use datacron::core::{DatacronConfig, DeadLetter};
 use datacron::geo::{BoundingBox, EntityId, GeoPoint, PositionReport, Timestamp};
 use datacron::net::{ClientConfig, NetClient, NetServer, ServerConfig};
 use datacron::obs::ObsRegistry;
@@ -118,6 +118,7 @@ fn stream_through_chaos(
     let stats = client.finish().expect("finish completes under chaos");
 
     let received = consumer.drain().expect("unbounded topic never lags");
+    assert_eq!(received.len() as u64, topic.stats().published, "seed {seed}: the whole topic");
     let session = server.session(seed).expect("session exists");
     assert_eq!(session.next_expected, input.len() as u64, "seed {seed}: watermark");
     assert_eq!(session.finished, Some(input.len() as u64), "seed {seed}: finish marker");
@@ -132,6 +133,24 @@ fn stream_through_chaos(
     proxy.shutdown();
     server.shutdown();
     (received, stats, fstats)
+}
+
+/// Feeds `input` through a fresh real-time layer; returns the layer with
+/// its cleaned and dead-letter streams. Both topics are subscribed before
+/// the first ingest (a topic keeps nothing for a reader that joins later),
+/// and each drained stream must be everything its topic published.
+fn run_layer(input: &[PositionReport]) -> (RealTimeLayer, Vec<PositionReport>, Vec<DeadLetter>) {
+    let mut layer = RealTimeLayer::new(DatacronConfig::maritime(extent()), Vec::new(), Vec::new());
+    let mut cleaned_rx = layer.cleaned.consumer();
+    let mut dead_rx = layer.dead_letters.consumer();
+    for r in input {
+        layer.ingest(*r);
+    }
+    let cleaned = cleaned_rx.drain().expect("unbounded topic never lags");
+    let dead = dead_rx.drain().expect("unbounded topic never lags");
+    assert_eq!(cleaned.len() as u64, layer.cleaned.stats().published, "whole cleaned topic");
+    assert_eq!(dead.len() as u64, layer.dead_letters.stats().published, "whole dead-letter topic");
+    (layer, cleaned, dead)
 }
 
 /// The acceptance drill: every seed, full wire chaos plus a forced
@@ -193,30 +212,18 @@ fn pipeline_equivalence_under_wire_chaos() {
             ChaosSource::new(raw.iter().copied(), FaultPlan::chaos(seed)).collect();
 
         // In-process arm.
-        let mut direct_layer =
-            RealTimeLayer::new(DatacronConfig::maritime(extent()), Vec::new(), Vec::new());
-        for r in &delivered {
-            direct_layer.ingest(*r);
-        }
+        let (direct_layer, direct_cleaned, direct_dead) = run_layer(&delivered);
 
         // Networked arm under wire chaos with forced kills.
         let topic: Arc<Topic<PositionReport>> = Topic::new("net.equiv");
         let plan = NetFaultPlan::chaos(seed).with_kill_every(83);
         let (received, _, _) = stream_through_chaos(&delivered, topic, seed, plan);
-        let mut net_layer =
-            RealTimeLayer::new(DatacronConfig::maritime(extent()), Vec::new(), Vec::new());
-        for r in &received {
-            net_layer.ingest(*r);
-        }
+        let (net_layer, net_cleaned, net_dead) = run_layer(&received);
 
         // Cleaned outputs bit-identical.
-        let direct_cleaned = direct_layer.cleaned.consumer().drain().unwrap();
-        let net_cleaned = net_layer.cleaned.consumer().drain().unwrap();
         assert_bit_identical(&net_cleaned, &direct_cleaned, "cleaned output", seed);
 
         // Dead letters: same records, same labels, same order.
-        let direct_dead = direct_layer.dead_letters.consumer().drain().unwrap();
-        let net_dead = net_layer.dead_letters.consumer().drain().unwrap();
         assert_eq!(direct_dead.len(), net_dead.len(), "seed {seed}: dead-letter count");
         for (i, (a, b)) in direct_dead.iter().zip(net_dead.iter()).enumerate() {
             assert!(

@@ -6,8 +6,8 @@
 
 use datacron::cep::{Dfa, Pattern, PatternMarkovChain, Wayeb};
 use datacron::core::realtime::symbols;
-use datacron::core::{DatacronConfig, DatacronSystem, DurabilityConfig};
-use datacron::durability::{DurabilityError, FsyncPolicy};
+use datacron::core::{DatacronConfig, DatacronSystem, DurabilityConfig, SystemState};
+use datacron::durability::{decode_from_slice, DurabilityError, FsyncPolicy, RecoveryManager};
 use datacron::geo::{BoundingBox, EntityId, GeoPoint, Polygon, PositionReport, Timestamp};
 use datacron::stream::faults::{inject_disk_fault, ChaosSource, DiskFault, FaultPlan};
 use datacron::store::StoreConfig;
@@ -189,6 +189,112 @@ fn recovered_run_is_bit_identical_across_seeds_and_crash_points() {
             let _ = fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// The batch layer's store survives a crash. Topics keep only what a live
+/// consumer has not read, so the checkpoint carries the batch layer's
+/// synced input instead of the topics' history, and recovery rebuilds the
+/// store from it before re-subscribing to the restored topics.
+#[test]
+fn recovery_keeps_the_batch_store() {
+    const SYNC_EVERY: usize = 500;
+    const CRASH_AT: usize = 1_500;
+    let input: Vec<PositionReport> =
+        ChaosSource::new(fleet(12, 200).into_iter(), FaultPlan::chaos(3)).collect();
+    assert!(input.len() > CRASH_AT + SYNC_EVERY, "the run continues past the crash");
+    // Ingests `records` (positions `first..` of the input), syncing the
+    // batch layer after every SYNC_EVERY-th record.
+    let drive = |system: &mut DatacronSystem, records: &[PositionReport], first: usize| {
+        for (i, r) in records.iter().enumerate() {
+            system.ingest(*r);
+            if (first + i + 1).is_multiple_of(SYNC_EVERY) {
+                system.sync_batch();
+            }
+        }
+    };
+
+    let ref_dir = temp_dir("batch-uncrashed");
+    let mut reference = build_system();
+    reference.enable_durability(durability_config(&ref_dir, 500)).unwrap();
+    drive(&mut reference, &input, 0);
+    reference.realtime.flush();
+    reference.sync_batch();
+
+    let dir = temp_dir("batch-crash");
+    let mut system = build_system();
+    system.enable_durability(durability_config(&dir, 500)).unwrap();
+    drive(&mut system, &input[..CRASH_AT], 0);
+    assert!(system.batch.node_count() > 0, "the batch layer synced before the crash");
+    drop(system);
+
+    // The newest checkpoint holds no topic history nobody reads.
+    let outcome = RecoveryManager::recover(&dir, 2).unwrap();
+    let (seq, payload) = outcome.checkpoint.expect("a checkpoint was taken");
+    assert_eq!(seq, CRASH_AT as u64);
+    let state: SystemState = decode_from_slice(&payload).unwrap();
+    assert!(state.layer.cleaned.retained.is_empty());
+    assert!(state.layer.triples.retained.is_empty());
+    assert!(state.layer.area_events.retained.is_empty());
+    assert!(state.layer.dead_letters.retained.is_empty());
+    assert!(!state.batch.critical.is_empty(), "the synced input is durable");
+
+    let (regions, ports) = context();
+    let (mut recovered, _) = DatacronSystem::recover_with_setup(
+        config(),
+        regions,
+        ports,
+        StoreConfig::default(),
+        durability_config(&dir, 500),
+        setup,
+    )
+    .unwrap();
+    drive(&mut recovered, &input[CRASH_AT..], CRASH_AT);
+    recovered.realtime.flush();
+    recovered.sync_batch();
+
+    assert_eq!(recovered.batch.triple_count(), reference.batch.triple_count());
+    assert_eq!(recovered.batch.node_count(), reference.batch.node_count());
+    assert_eq!(reference.batch.lagged_lost(), 0);
+    assert_eq!(recovered.batch.lagged_lost(), 0);
+    assert_eq!(format!("{:?}", recovered.health()), format!("{:?}", reference.health()));
+    let _ = fs::remove_dir_all(&ref_dir);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A slower reader that does not survive the crash keeps critical points
+/// the batch layer had already synced in the checkpoint; the recovered
+/// batch layer must skip them, not store them twice.
+#[test]
+fn recovered_batch_layer_skips_what_a_slower_reader_kept() {
+    let input = fleet(6, 100);
+    let dir = temp_dir("laggard");
+    let mut system = build_system();
+    system.enable_durability(durability_config(&dir, 300)).unwrap();
+    let _laggard = system.realtime.critical.consumer();
+    run_records(&mut system, &input[..299]);
+    system.sync_batch();
+    assert!(system.batch.node_count() > 0, "the batch layer synced before the checkpoint");
+    run_records(&mut system, &input[299..300]); // checkpoint at 300
+    drop(system);
+
+    let (regions, ports) = context();
+    let (mut recovered, report) = DatacronSystem::recover_with_setup(
+        config(),
+        regions,
+        ports,
+        StoreConfig::default(),
+        durability_config(&dir, 300),
+        setup,
+    )
+    .unwrap();
+    assert_eq!(report.checkpoint_seq, Some(300));
+    recovered.sync_batch();
+    assert_eq!(
+        recovered.batch.node_count(),
+        recovered.realtime.critical.len(),
+        "every critical point stored exactly once"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A short write tears the WAL tail. Recovery truncates the torn frames,

@@ -15,7 +15,7 @@ use datacron::core::realtime::{IngestOutput, RealTimeLayer};
 use datacron::core::sharded::{
     repartition_states, ResizeError, ShardOutput, ShardedRealTimeLayer,
 };
-use datacron::core::DatacronConfig;
+use datacron::core::{DatacronConfig, DeadLetter};
 use datacron::data::rng::SeededRng;
 use datacron::geo::{BoundingBox, EntityId, GeoPoint, Polygon, PositionReport, Timestamp};
 use datacron::stream::faults::{ChaosSource, FaultPlan};
@@ -102,10 +102,12 @@ struct Fingerprint {
     dead_letters: Vec<String>,
 }
 
-fn dead_letter_labels(layers: &[RealTimeLayer]) -> Vec<String> {
-    let mut labels: Vec<String> = layers
-        .iter()
-        .flat_map(|l| l.checkpoint_state().dead_letters.retained)
+/// The dead letters a run produced, rebuilt from its per-record outputs
+/// (each rejected output beside its input report), sorted.
+fn dead_letter_labels<'a>(records: impl IntoIterator<Item = (&'a PositionReport, &'a IngestOutput)>) -> Vec<String> {
+    let mut labels: Vec<String> = records
+        .into_iter()
+        .filter_map(|(report, out)| out.rejected.map(|reason| DeadLetter { report: *report, reason }))
         .map(|d| format!("{d:?}"))
         .collect();
     labels.sort();
@@ -137,7 +139,7 @@ fn run_fixed(stream: &[PositionReport], shards: usize) -> Fingerprint {
         outputs: outputs.iter().map(|o| format!("{:?}", o.output)).collect(),
         flush: format!("{flush:?}"),
         health: format!("{health:?}"),
-        dead_letters: dead_letter_labels(&done.layers),
+        dead_letters: dead_letter_labels(outputs.iter().map(|o| (&o.report, &o.output))),
     }
 }
 
@@ -180,7 +182,7 @@ fn run_elastic(stream: &[PositionReport]) -> Fingerprint {
         outputs: outputs.iter().map(|o| format!("{:?}", o.output)).collect(),
         flush: format!("{flush:?}"),
         health: format!("{health:?}"),
-        dead_letters: dead_letter_labels(&done.layers),
+        dead_letters: dead_letter_labels(outputs.iter().map(|o| (&o.report, &o.output))),
     }
 }
 
@@ -220,17 +222,8 @@ fn resize_mid_stream_matches_single_threaded_layer() {
     let expected: Vec<IngestOutput> = stream.iter().map(|r| single.ingest(*r)).collect();
     let expected_flush = single.flush();
     let expected_health = single.health();
-    let expected_dead: Vec<String> = {
-        let mut v: Vec<String> = single
-            .checkpoint_state()
-            .dead_letters
-            .retained
-            .iter()
-            .map(|d| format!("{d:?}"))
-            .collect();
-        v.sort();
-        v
-    };
+    let expected_dead = dead_letter_labels(stream.iter().zip(&expected));
+    assert!(!expected_dead.is_empty(), "chaos must dead-letter something");
 
     let elastic = run_elastic(&stream);
     assert_eq!(elastic.outputs.len(), expected.len());

@@ -32,6 +32,9 @@ fn panicking_entity_is_restarted_then_quarantined_while_fleet_survives() {
     layer.attach_entity_stage(|r: &PositionReport| {
         assert!(r.entity != EntityId::vessel(13), "poison record");
     });
+    // Subscribed before the first ingest: a topic keeps nothing for a
+    // reader that joins later.
+    let mut dead_rx = layer.dead_letters.consumer();
 
     let mut lon_ok = 0.5f64;
     let mut lon_bad = 2.5f64;
@@ -72,11 +75,8 @@ fn panicking_entity_is_restarted_then_quarantined_while_fleet_survives() {
     assert_eq!(health.rejected, 40, "the poisoned entity's records all dead-lettered");
 
     // The dead-letter topic carries the full rejection history.
-    let dead = layer
-        .dead_letters
-        .consumer()
-        .drain()
-        .expect("unbounded topic never lags");
+    let dead = dead_rx.drain().expect("unbounded topic never lags");
+    assert_eq!(dead.len() as u64, layer.dead_letters.stats().published, "the whole topic");
     assert_eq!(dead.len(), 40);
     assert!(dead.iter().all(|d| d.report.entity == EntityId::vessel(13)));
 }
