@@ -87,10 +87,10 @@ impl ShardStage for RealTimeLayer {
     type Out = ShardOutput;
 
     fn on_batch(&mut self, inputs: &mut Vec<PositionReport>, out: &mut Vec<ShardOutput>) {
-        // Batched hot path: one deferred-publish flush per run instead of
-        // per-record topic locks. Bit-identical to per-record ingest (the
-        // layer's batch-equivalence contract), so the executor's merge
-        // still reproduces the single-threaded output stream exactly.
+        // One deferred-publish flush per run. The layer's outputs do not
+        // depend on where its input is cut (the batch-equivalence
+        // contract), so the executor's merge reproduces the
+        // single-threaded output stream exactly.
         let outputs = self.ingest_batch(inputs.iter().copied());
         out.extend(
             inputs

@@ -24,7 +24,6 @@
 //!   from true north in `[0, 360)`.
 //! * Timestamps are milliseconds since the Unix epoch ([`Timestamp`]).
 
-pub mod batch;
 pub mod bbox;
 pub mod grid;
 pub mod hash;
@@ -35,7 +34,6 @@ pub mod stcell;
 pub mod time;
 pub mod vector;
 
-pub use batch::RecordBatch;
 pub use bbox::BoundingBox;
 pub use grid::{CellIndex, EquiGrid};
 pub use hash::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

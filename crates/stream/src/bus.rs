@@ -430,9 +430,11 @@ impl<T: Clone> Topic<T> {
     }
 
     /// Like [`publish_batch`](Self::publish_batch), but hands refused
-    /// messages back to the producer (in input order) instead of dropping
-    /// them, so a lossless producer can retry exactly what was not
-    /// appended.
+    /// messages back to the producer instead of dropping them, so a
+    /// lossless producer can retry exactly what was not appended. The
+    /// first refusal refuses the rest of the batch too, so what comes back
+    /// is always a suffix, in input order, and retrying it keeps the
+    /// producer's order.
     pub fn publish_batch_all(&self, msgs: impl IntoIterator<Item = T>) -> (Option<u64>, Vec<T>) {
         let mut refused = Vec::new();
         let first = self.publish_batch_inner(msgs, Some(&mut refused));
@@ -447,7 +449,8 @@ impl<T: Clone> Topic<T> {
         let mut first = None;
         let mut appended = false;
         let (mut inner, keep) = self.lock_for_append();
-        for msg in msgs {
+        let mut msgs = msgs.into_iter();
+        for msg in msgs.by_ref() {
             let (guard, result) = self.append_locked(inner, msg, keep);
             inner = guard;
             match result {
@@ -458,9 +461,17 @@ impl<T: Clone> Topic<T> {
                 Err(err) => {
                     if let Some(out) = refused.as_deref_mut() {
                         out.push(err.into_inner());
+                        break;
                     }
                 }
             }
+        }
+        if let Some(out) = refused {
+            // Hand back a suffix: a consumer advancing mid-batch must not
+            // let a later message in ahead of a refused one.
+            let before = out.len();
+            out.extend(msgs);
+            inner.stats.rejected += (out.len() - before) as u64;
         }
         drop(inner);
         if appended {

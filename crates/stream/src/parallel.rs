@@ -62,13 +62,15 @@
 //!
 //! ## Failure model
 //!
-//! The executor is lossless by construction: submission retries refused
-//! publishes (backpressure, not loss), the output topic is unbounded (it
-//! retains only unpolled outputs, which the admission window caps), and [`ShardedExecutor::finish`] drains everything and reports
-//! `submitted == merged` (plus late/duplicate counters from the merger,
-//! which must be zero). A worker that dies (a stage panic escaping
-//! `on_batch`, or a cut closure that panics) is detected at the next
-//! submit-side wait, at the next quiet tick of a cut, or at `finish`, and
+//! The executor is lossless by construction: every directive goes through
+//! one send that retries the refused suffix in order (backpressure, not
+//! loss), the output topic is unbounded (it retains only unpolled outputs,
+//! which the admission window caps), and [`ShardedExecutor::finish`]
+//! drains everything and reports `submitted == merged` (plus late/duplicate
+//! counters from the merger, which must be zero). A worker that dies (a
+//! stage panic escaping `on_batch`, or a cut closure that panics) is
+//! detected when a send meets its full queue, while the admission window
+//! waits on it, at the next quiet tick of a cut, or at `finish`, and
 //! reported as a [`ShardPanic`] rather than a hang.
 
 use crate::bus::{Consumer, OverflowPolicy, SpaceWaitError, Topic, TopicConfig};
@@ -583,9 +585,9 @@ impl<S: ShardStage> ShardedExecutor<S> {
             assigner.shards(),
             "config and assigner disagree on the shard count"
         );
-        // The merged-output topic is unbounded but keeps only what the
-        // coordinator has not polled yet: it drains the topic on every
-        // submit, and the admission window caps what is unpolled.
+        // The merged-output topic is unbounded, so a worker never waits on
+        // the coordinator. It keeps only what the coordinator has not
+        // polled yet, which the admission window caps.
         let output = Topic::new("shard-outputs");
         let output_consumer = output.consumer();
         let obs = if config.metrics {
@@ -597,9 +599,9 @@ impl<S: ShardStage> ShardedExecutor<S> {
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards as u32 {
             // A zero block timeout: a full queue refuses the publish
-            // immediately and the coordinator parks on `wait_for_space`
-            // (draining outputs in between) instead of blocking inside the
-            // publish where it can drain nothing.
+            // immediately and the coordinator's `send` parks on
+            // `wait_for_space`, where it can also tell a dead worker
+            // (no consumer left) from a slow one.
             let input: Arc<Topic<Directive<S>>> = Topic::with_config(
                 format!("shard-{shard}-input"),
                 TopicConfig {
@@ -701,10 +703,64 @@ impl<S: ShardStage> ShardedExecutor<S> {
     /// the admission window or that shard's queue is full. Returns the
     /// record's stamps.
     ///
-    /// Also opportunistically drains finished outputs into the internal
+    /// A full shard queue parks the call until that worker consumes; it
+    /// does not drain outputs meanwhile (workers never wait on the
+    /// unbounded output topic, so none is needed for progress). Once the
+    /// record is queued, finished outputs are drained into the internal
     /// ready buffer, so the merge stays current for the next poll.
+    ///
+    /// # Panics
+    /// Panics with the shard's [`ShardPanic`] when the record's shard
+    /// worker has died and its queue is full.
     pub fn submit(&mut self, key: &impl Hash, input: S::In) -> SeqStamp {
         self.await_admission();
+        let stamped = self.stamp(key, input);
+        let stamp = stamped.stamp;
+        self.send(stamp.shard as usize, [Directive::Record(stamped)]);
+        self.drain_outputs();
+        stamp
+    }
+
+    /// Submits a batch of keyed records with **one handoff per shard**:
+    /// records are grouped by destination shard and appended to each shard
+    /// queue under a single lock acquisition ([`Topic::publish_batch_all`]),
+    /// retrying refused suffixes so nothing is lost. The admission window
+    /// applies to every record: the batch is admitted in window-sized
+    /// chunks, draining between chunks, so `max_pending ≤ max_in_flight`
+    /// holds mid-batch too. Backpressure and a dead worker behave as in
+    /// [`submit`](Self::submit).
+    pub fn submit_batch<K: Hash>(&mut self, items: impl IntoIterator<Item = (K, S::In)>) {
+        let mut per_shard: Vec<Vec<Directive<S>>> = (0..self.shards()).map(|_| Vec::new()).collect();
+        let mut items = items.into_iter();
+        loop {
+            self.await_admission();
+            let budget = match self.max_in_flight {
+                Some(max) => max.max(1) - self.in_flight(),
+                None => usize::MAX,
+            };
+            let mut taken = 0usize;
+            for (key, input) in items.by_ref().take(budget) {
+                let stamped = self.stamp(&key, input);
+                per_shard[stamped.stamp.shard as usize].push(Directive::Record(stamped));
+                taken += 1;
+            }
+            if taken == 0 {
+                break;
+            }
+            for (shard, batch) in per_shard.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    self.send(shard, batch.drain(..));
+                }
+            }
+            self.drain_outputs();
+        }
+    }
+
+    /// Stamps one keyed record for its shard: the next global sequence,
+    /// the key's next sequence and, when metrics are on, the routing
+    /// instant.
+    fn stamp(&mut self, key: &impl Hash, value: S::In) -> Stamped<S::In> {
+        let submitted_at = self.obs.is_enabled().then(Instant::now);
         let key_hash = fx_hash(key);
         let shard = self.assigner.assign_hashed(key_hash);
         let key_seq = self.key_seqs.entry(key_hash).or_insert(0);
@@ -717,80 +773,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
         *key_seq += 1;
         self.next_seq += 1;
         self.shard_routed[shard as usize] += 1;
-        let submitted_at = if self.obs.is_enabled() { Some(Instant::now()) } else { None };
-        let mut msg = Directive::Record(Stamped { stamp, submitted_at, value: input });
-        loop {
-            match self.inputs[shard as usize].try_publish(msg) {
-                Ok(_) => break,
-                Err(err) => {
-                    // Backpressure: absorb outputs, then park until the
-                    // worker consumes (condvar-woken); never drop.
-                    msg = err.into_inner();
-                    self.drain_outputs();
-                    if self.inputs[shard as usize].wait_for_space(COORD_SPACE_WAIT).is_err() {
-                        self.panic_if_worker_died();
-                    }
-                }
-            }
-        }
-        self.drain_outputs();
-        stamp
-    }
-
-    /// Submits a batch of keyed records with **one handoff per shard**:
-    /// records are grouped by destination shard and appended to each shard
-    /// queue under a single lock acquisition ([`Topic::publish_batch_all`]),
-    /// retrying refused suffixes so nothing is lost. The admission window
-    /// applies to every record: the batch is admitted in window-sized
-    /// chunks, draining between chunks, so `max_pending ≤ max_in_flight`
-    /// holds mid-batch too.
-    pub fn submit_batch<K: Hash>(&mut self, items: impl IntoIterator<Item = (K, S::In)>) {
-        let shards = self.assigner.shards();
-        let timed = self.obs.is_enabled();
-        let mut per_shard: Vec<Vec<Directive<S>>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut items = items.into_iter();
-        loop {
-            self.await_admission();
-            let budget = match self.max_in_flight {
-                Some(max) => max.max(1) - self.in_flight(),
-                None => usize::MAX,
-            };
-            let mut taken = 0usize;
-            for (key, input) in items.by_ref().take(budget) {
-                let submitted_at = if timed { Some(Instant::now()) } else { None };
-                let key_hash = fx_hash(&key);
-                let shard = self.assigner.assign_hashed(key_hash);
-                let key_seq = self.key_seqs.entry(key_hash).or_insert(0);
-                let stamp = SeqStamp {
-                    epoch: self.epoch,
-                    global_seq: self.next_seq,
-                    shard,
-                    key_seq: *key_seq,
-                };
-                *key_seq += 1;
-                self.next_seq += 1;
-                self.shard_routed[shard as usize] += 1;
-                per_shard[shard as usize]
-                    .push(Directive::Record(Stamped { stamp, submitted_at, value: input }));
-                taken += 1;
-            }
-            if taken == 0 {
-                break;
-            }
-            for (shard, batch) in per_shard.iter_mut().enumerate() {
-                while !batch.is_empty() {
-                    let (_, refused) = self.inputs[shard].publish_batch_all(batch.drain(..));
-                    *batch = refused;
-                    if !batch.is_empty() {
-                        self.drain_outputs();
-                        if self.inputs[shard].wait_for_space(COORD_SPACE_WAIT).is_err() {
-                            self.panic_if_worker_died();
-                        }
-                    }
-                }
-            }
-            self.drain_outputs();
-        }
+        Stamped { stamp, submitted_at, value }
     }
 
     /// Takes every output whose global order is already reassembled, in
@@ -808,13 +791,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
     pub fn poll_timeout(&mut self, timeout: Duration) -> Vec<S::Out> {
         self.drain_outputs();
         if self.ready.is_empty() && self.in_flight() > 0 {
-            let batch = self
-                .output_consumer
-                .poll_wait(OUTPUT_DRAIN_BATCH, timeout)
-                .unwrap_or_else(|lagged| {
-                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
-                });
-            self.absorb(batch);
+            self.absorb_outputs(timeout);
             self.drain_outputs();
         }
         std::mem::take(&mut self.ready)
@@ -836,18 +813,11 @@ impl<S: ShardStage> ShardedExecutor<S> {
             if self.in_flight() < max {
                 return;
             }
-            let batch = self
-                .output_consumer
-                .poll_wait(OUTPUT_DRAIN_BATCH, OUTPUT_WAIT)
-                .unwrap_or_else(|lagged| {
-                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
-                });
-            if batch.is_empty() {
+            if !self.absorb_outputs(OUTPUT_WAIT) {
                 // Sustained silence with a full window: make sure the
                 // records we are waiting on can still arrive.
                 self.panic_if_worker_died();
             }
-            self.absorb(batch);
         }
     }
 
@@ -871,19 +841,26 @@ impl<S: ShardStage> ShardedExecutor<S> {
         }
     }
 
+    /// Absorbs every worker output published so far. Non-blocking.
     fn drain_outputs(&mut self) {
-        loop {
-            let batch = self
-                .output_consumer
-                .poll(OUTPUT_DRAIN_BATCH)
-                .unwrap_or_else(|lagged| {
-                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
-                });
-            if batch.is_empty() {
-                break;
-            }
-            self.absorb(batch);
-        }
+        while self.absorb_outputs(Duration::ZERO) {}
+    }
+
+    /// Absorbs one poll of up to [`OUTPUT_DRAIN_BATCH`] worker outputs,
+    /// parking up to `wait` for the first one (`Duration::ZERO` does not
+    /// park). Returns whether anything arrived.
+    fn absorb_outputs(&mut self, wait: Duration) -> bool {
+        let polled = if wait.is_zero() {
+            self.output_consumer.poll(OUTPUT_DRAIN_BATCH)
+        } else {
+            self.output_consumer.poll_wait(OUTPUT_DRAIN_BATCH, wait)
+        };
+        let batch = polled.unwrap_or_else(|lagged| {
+            unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
+        });
+        let arrived = !batch.is_empty();
+        self.absorb(batch);
+        arrived
     }
 
     /// Feeds one batch of stamped worker outputs through the reorder
@@ -913,26 +890,21 @@ impl<S: ShardStage> ShardedExecutor<S> {
         }
     }
 
-    /// Routes one directive to a shard queue, parking between backpressure
-    /// retries. A full queue with no consumer left belongs to a dead worker
-    /// (a worker drops its consumer only on exit, and exits cleanly only on
-    /// its own `Shutdown`, which is sent once and last), so only that shard
-    /// is checked and its [`ShardPanic`] raised — otherwise nothing would
-    /// ever free the space and the send would spin forever.
-    fn send_directive(&mut self, shard: usize, msg: Directive<S>) {
-        let mut msg = msg;
-        loop {
-            match self.inputs[shard].try_publish(msg) {
-                Ok(_) => return,
-                Err(err) => {
-                    msg = err.into_inner();
-                    if self.inputs[shard].wait_for_space(COORD_SPACE_WAIT)
-                        == Err(SpaceWaitError::NoConsumers)
-                    {
-                        self.panic_if_shard_died(shard);
-                    }
-                }
+    /// Appends directives to one shard queue, in order, under one lock per
+    /// attempt, parking on the queue's space between backpressure retries
+    /// (never dropping, never draining outputs: workers do not wait on the
+    /// coordinator). A full queue with no consumer left belongs to a dead
+    /// worker (a worker drops its consumer only on exit, and exits cleanly
+    /// only on its own `Shutdown`, which is sent once and last), so only
+    /// that shard is checked and its [`ShardPanic`] raised — otherwise
+    /// nothing would ever free the space and the send would spin forever.
+    fn send(&mut self, shard: usize, msgs: impl IntoIterator<Item = Directive<S>>) {
+        let (_, mut refused) = self.inputs[shard].publish_batch_all(msgs);
+        while !refused.is_empty() {
+            if self.inputs[shard].wait_for_space(COORD_SPACE_WAIT) == Err(SpaceWaitError::NoConsumers) {
+                self.panic_if_shard_died(shard);
             }
+            refused = self.inputs[shard].publish_batch_all(refused).1;
         }
     }
 
@@ -962,7 +934,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
             let _ = tx.send((shard, job(shard, stage)));
         });
         for shard in 0..self.shards() {
-            self.send_directive(shard, Directive::Cut(Arc::clone(&cut)));
+            self.send(shard, [Directive::Cut(Arc::clone(&cut))]);
         }
         let mut got: Vec<Option<R>> = (0..self.shards()).map(|_| None).collect();
         let mut remaining = got.len();
@@ -1017,7 +989,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
     /// panics with the shard's [`ShardPanic`] message.
     pub fn finish(mut self) -> FinishedRun<S> {
         for shard in 0..self.shards() {
-            self.send_directive(shard, Directive::Shutdown);
+            self.send(shard, [Directive::Shutdown]);
         }
         // Event-driven wind-down: park on the output topic and absorb until
         // every submitted record has merged — at that point no worker can be
@@ -1026,16 +998,7 @@ impl<S: ShardStage> ShardedExecutor<S> {
         // worker died mid-run some records can never merge; the all-finished
         // check below breaks the wait so the join can surface its panic.
         while self.merger.released() < self.next_seq {
-            let batch = self
-                .output_consumer
-                .poll_wait(OUTPUT_DRAIN_BATCH, OUTPUT_WAIT)
-                .unwrap_or_else(|lagged| {
-                    unreachable!("unbounded output topic never truncates unread data: {lagged:?}")
-                });
-            let quiet = batch.is_empty();
-            self.absorb(batch);
-            if quiet && self.workers.iter().all(|w| w.is_finished()) {
-                self.drain_outputs();
+            if !self.absorb_outputs(OUTPUT_WAIT) && self.workers.iter().all(|w| w.is_finished()) {
                 break;
             }
         }
@@ -1074,9 +1037,9 @@ impl<S: ShardStage> ShardedExecutor<S> {
 const WORKER_BATCH: usize = 256;
 /// How long a worker parks waiting for input before re-checking.
 const WORKER_PARK: Duration = Duration::from_millis(50);
-/// Upper bound on one coordinator park for input-queue space. Short so a
-/// submit keeps interleaving output drains and liveness checks; the common
-/// wake path is the worker's consume → condvar.
+/// Upper bound on one coordinator park for input-queue space. The common
+/// wake path is the worker's consume → condvar; a dying worker's consumer
+/// drop wakes it too.
 const COORD_SPACE_WAIT: Duration = Duration::from_millis(1);
 /// Upper bound on one coordinator park for output data.
 const OUTPUT_WAIT: Duration = Duration::from_millis(50);
@@ -1094,7 +1057,6 @@ fn worker_loop<S: ShardStage>(
     output: Arc<Topic<Stamped<S::Out>>>,
 ) -> S {
     let mut consumer = input.consumer();
-    let mut out_buf: Vec<Stamped<S::Out>> = Vec::new();
     // Run accumulators: consecutive records are grouped and handed to the
     // stage's `on_batch` in one call (runs are cut at cuts and at
     // poll-batch ends); stamps ride in a parallel array and are re-zipped
@@ -1119,37 +1081,35 @@ fn worker_loop<S: ShardStage>(
                     run_stamps.push((stamped.stamp, stamped.submitted_at));
                     run_inputs.push(stamped.value);
                     if prompt || run_inputs.len() >= WORKER_BATCH {
-                        drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                        flush_outputs(&output, &mut out_buf);
+                        drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &output);
                     }
                 }
                 Directive::Cut(job) => {
-                    drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                    flush_outputs(&output, &mut out_buf);
+                    drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &output);
                     job(shard, &mut stage);
                 }
                 Directive::Shutdown => {
-                    drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-                    flush_outputs(&output, &mut out_buf);
+                    drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &output);
                     return stage;
                 }
             }
         }
         // Batched handoff: one publish per input batch, not per record.
-        drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &mut out_buf);
-        flush_outputs(&output, &mut out_buf);
+        drain_run(&mut stage, &mut run_inputs, &mut run_stamps, &mut run_scratch, &output);
     }
 }
 
-/// Feeds the accumulated run through the stage's `on_batch` and re-zips
-/// the outputs with their stamps into `out_buf`, leaving the run buffers
-/// empty (allocations retained).
+/// Feeds the accumulated run through the stage's `on_batch` and publishes
+/// the outputs, re-zipped with their stamps, in one append, leaving the
+/// run buffers empty (allocations retained). The output topic is unbounded
+/// (the admission window bounds what it holds), so nothing is ever refused
+/// and the worker never waits on the coordinator.
 fn drain_run<S: ShardStage>(
     stage: &mut S,
     inputs: &mut Vec<S::In>,
     stamps: &mut Vec<(SeqStamp, Option<Instant>)>,
     scratch: &mut Vec<S::Out>,
-    out_buf: &mut Vec<Stamped<S::Out>>,
+    output: &Topic<Stamped<S::Out>>,
 ) {
     if inputs.is_empty() {
         return;
@@ -1157,19 +1117,9 @@ fn drain_run<S: ShardStage>(
     stage.on_batch(inputs, scratch);
     debug_assert!(inputs.is_empty(), "on_batch must drain its inputs");
     debug_assert_eq!(scratch.len(), stamps.len(), "on_batch must emit one output per input");
-    for ((stamp, submitted_at), value) in stamps.drain(..).zip(scratch.drain(..)) {
-        out_buf.push(Stamped { stamp, submitted_at, value });
-    }
+    let outputs = stamps.drain(..).zip(scratch.drain(..));
+    output.publish_batch(outputs.map(|((stamp, submitted_at), value)| Stamped { stamp, submitted_at, value }));
     inputs.clear();
-}
-
-/// Publishes the buffered outputs in one append. The output topic is
-/// unbounded (the admission window bounds what it holds), so nothing is
-/// ever refused and the worker never waits on the coordinator.
-fn flush_outputs<T: Clone>(topic: &Topic<T>, buf: &mut Vec<T>) {
-    if !buf.is_empty() {
-        topic.publish_batch(buf.drain(..));
-    }
 }
 
 #[cfg(test)]
@@ -1480,27 +1430,39 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_with_a_full_queue_surfaces_at_a_cut() {
+    fn dead_worker_with_a_full_queue_surfaces_on_every_send() {
         // Nothing consumes a dead worker's queue, so once it is exactly full
-        // the cut's own directive can never be queued: the send itself must
-        // notice the dead shard instead of retrying forever.
-        let mut exec = ShardedExecutor::new(
-            ShardedConfig { queue_capacity: 4, ..ShardedConfig::with_shards(1) },
-            |_| Poisoned,
-        );
-        exec.submit(&0u64, POISON);
-        while !exec.workers[0].is_finished() {
-            std::thread::sleep(Duration::from_millis(1));
+        // no directive can be queued: the one send every operation shares
+        // must notice the dead shard instead of retrying forever.
+        type Op = fn(&mut ShardedExecutor<Poisoned>);
+        let ops: [(&str, Op); 3] = [
+            ("at_cut", |exec| {
+                exec.at_cut(|_, _| ());
+            }),
+            ("submit", |exec| {
+                exec.submit(&0u64, 1);
+            }),
+            ("submit_batch", |exec| exec.submit_batch([(0u64, 1)])),
+        ];
+        for (name, op) in ops {
+            let mut exec = ShardedExecutor::new(
+                ShardedConfig { queue_capacity: 4, ..ShardedConfig::with_shards(1) },
+                |_| Poisoned,
+            );
+            exec.submit(&0u64, POISON);
+            while !exec.workers[0].is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            while exec.inputs[0].retained() < 4 {
+                exec.submit(&0u64, 1);
+            }
+            let t0 = Instant::now();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&mut exec)))
+                .expect_err("a dead worker's full queue cannot take a directive");
+            let message = crate::operator::panic_message(err.as_ref());
+            assert!(message.contains("shard 0 worker panicked"), "{name}: {message}");
+            assert!(t0.elapsed() < Duration::from_secs(5), "{name}: took {:?}", t0.elapsed());
         }
-        while exec.inputs[0].retained() < 4 {
-            exec.submit(&0u64, 1);
-        }
-        let t0 = Instant::now();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.at_cut(|_, _| ())))
-            .expect_err("a dead worker cannot answer the cut");
-        let message = crate::operator::panic_message(err.as_ref());
-        assert!(message.contains("shard 0 worker panicked"), "{message}");
-        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
     }
 
     #[test]

@@ -308,6 +308,43 @@ fn blocked_batch_publish_wakes_parked_consumer_without_dup_or_skip() {
     assert!(stats.blocked > 0, "the publisher did hit the Block path");
 }
 
+/// A lossless producer retries what `publish_batch_all` refused. That is
+/// in order only if the refused messages are a suffix: a consumer that
+/// advances mid-batch must not let a later message in after an earlier
+/// one was refused. Tiny capacity, zero block timeout and a one-at-a-time
+/// consumer make refusals and mid-batch advances constant.
+#[test]
+fn refused_batch_suffix_retried_in_order_under_a_racing_consumer() {
+    const TOTAL: u64 = 1_000_000;
+    let topic: Arc<Topic<u64>> = Topic::with_config(
+        "retry-order",
+        TopicConfig { capacity: Some(4), policy: OverflowPolicy::Block, block_timeout: Duration::ZERO },
+    );
+    let reader = {
+        let mut c = topic.consumer();
+        thread::spawn(move || {
+            let mut seen = Vec::with_capacity(TOTAL as usize);
+            while seen.len() < TOTAL as usize {
+                seen.extend(c.poll_wait(1, Duration::from_secs(5)).expect("Block never truncates unread data"));
+            }
+            seen
+        })
+    };
+    let mut next = 0u64;
+    while next < TOTAL {
+        let end = (next + 32).min(TOTAL);
+        let (_, mut refused) = topic.publish_batch_all(next..end);
+        while !refused.is_empty() {
+            topic.wait_for_space(Duration::from_millis(1)).ok();
+            refused = topic.publish_batch_all(refused).1;
+        }
+        next = end;
+    }
+    let seen = reader.join().expect("reader");
+    let first_out_of_order = seen.iter().enumerate().find(|&(i, &v)| v != i as u64);
+    assert_eq!(first_out_of_order, None, "every message once, in publish order");
+}
+
 /// Mixed chaos: concurrent publishers on a bounded topic, one fast and one
 /// deliberately slow consumer, with consumers joining mid-stream. Nothing
 /// deadlocks, all counters reconcile.

@@ -1,18 +1,27 @@
-//! Batch-vs-per-record equivalence: `RealTimeLayer::ingest_batch` (the
-//! columnar/deferred-publish hot path, with its compiled RDF lifter and
-//! recycled output buffers) must be **bit-identical** to calling
-//! `RealTimeLayer::ingest` once per record — per-record outputs, all six
-//! topic contents, end-of-stream flush, health, dead-letter labels and
-//! every count-typed metric — under chaotic input, with supervision
-//! panics in the middle of batches, through the columnar [`RecordBatch`]
-//! entry point, and through the sharded executor (whose workers run the
-//! batch path via `ShardStage::on_batch`).
+//! Chunk-size invariance of the layer's one ingest path.
+//!
+//! `RealTimeLayer::ingest` is `ingest_batch` over one record: both run the
+//! same per-record chain and flush the deferred publishes and counter bumps
+//! at the end of the call. This suite pins that nothing observable depends
+//! on where the input is cut into calls: per-record outputs, all six topic
+//! contents, end-of-stream flush, health, dead-letter labels and every
+//! count-typed metric are bit-identical between one record per call and
+//! chunks of 2, `CHUNK` and the whole input — under chaotic input, with
+//! supervision panics in the middle of chunks (recycling every output), and
+//! through the sharded executor (whose workers cut runs at their own
+//! boundaries via `ShardStage::on_batch`). Since every arm shares one
+//! publish path, each run also checks every topic against its own
+//! outputs: one `cleaned` per accepted record, one dead letter per
+//! rejected one, and every critical point, area event, triple and link.
+//! Every compared stream is the whole topic, and the reference run
+//! exercises the synopses stage and quarantine, so no comparison can pass
+//! vacuously.
 
 use datacron::core::realtime::{IngestOutput, RealTimeLayer};
 use datacron::core::sharded::ShardedRealTimeLayer;
 use datacron::core::{DatacronConfig, DeadLetter};
 use datacron::data::rng::SeededRng;
-use datacron::geo::{BoundingBox, EntityId, GeoPoint, Polygon, PositionReport, RecordBatch, Timestamp};
+use datacron::geo::{BoundingBox, EntityId, GeoPoint, Polygon, PositionReport, Timestamp};
 use datacron::linkdisc::Link;
 use datacron::obs::MetricsSnapshot;
 use datacron::rdf::term::Triple;
@@ -163,54 +172,77 @@ fn drain_whole<T: Clone + std::fmt::Debug>(rx: &mut Consumer<T>, topic: &Topic<T
     format!("{all:?}")
 }
 
-/// Captures the run's aggregate state. Counter snapshot is taken before
-/// draining the topics (drains bump topic `consumed` stats).
-fn finish_trace(mut layer: RealTimeLayer, taps: Taps, outputs: Vec<String>) -> RunTrace {
-    let flush = format!("{:?}", layer.flush());
+/// A run's per-record outputs in Debug form, plus how many messages they
+/// say each topic must hold, in `TOPIC_NAMES` order.
+#[derive(Default)]
+struct Outputs {
+    debug: Vec<String>,
+    expected: [u64; 6],
+}
+
+impl Outputs {
+    fn push(&mut self, out: &IngestOutput) {
+        self.debug.push(format!("{out:?}"));
+        let counts = [
+            usize::from(out.accepted),
+            out.critical_points.len(),
+            out.area_events.len(),
+            out.triples.len(),
+            out.links.len(),
+            usize::from(out.rejected.is_some()),
+        ];
+        for (expected, n) in self.expected.iter_mut().zip(counts) {
+            *expected += n as u64;
+        }
+    }
+}
+
+/// Captures the run's aggregate state, after checking that the topics hold
+/// exactly what the outputs and the flush report: the arms share one
+/// publish path, so comparing them cannot catch a product that path loses.
+/// Counter snapshot is taken before draining the topics (drains bump topic
+/// `consumed` stats).
+fn finish_trace(mut layer: RealTimeLayer, taps: Taps, mut outputs: Outputs) -> RunTrace {
+    let flush = layer.flush();
+    // Each flushed critical point lifts to ten triples.
+    outputs.expected[1] += flush.len() as u64;
+    outputs.expected[3] += 10 * flush.len() as u64;
+    let published = [
+        layer.cleaned.stats().published,
+        layer.critical.stats().published,
+        layer.area_events.stats().published,
+        layer.triples.stats().published,
+        layer.links.stats().published,
+        layer.dead_letters.stats().published,
+    ];
+    assert_eq!(published, outputs.expected, "topics {TOPIC_NAMES:?} hold what the outputs and the flush report");
     let health = format!("{:?}", layer.health());
     let counters = layer.metrics_snapshot().counters_only();
     let topics = taps.drain(&layer);
-    RunTrace { outputs, flush, health, counters, topics }
+    RunTrace { outputs: outputs.debug, flush: format!("{flush:?}"), health, counters, topics }
 }
 
 /// Reference arm: one `ingest` call per record.
 fn trace_per_record(input: &[PositionReport], poisoned: bool) -> RunTrace {
     let mut layer = make_layer(poisoned);
     let taps = Taps::subscribe(&layer);
-    let outputs = input.iter().map(|r| format!("{:?}", layer.ingest(*r))).collect();
-    finish_trace(layer, taps, outputs)
-}
-
-/// Batch arm: `ingest_batch` in CHUNK-sized slices, recycling every output
-/// back into the layer's buffer pool (recycling must never change what a
-/// later record produces).
-fn trace_batched(input: &[PositionReport], poisoned: bool) -> RunTrace {
-    let mut layer = make_layer(poisoned);
-    let taps = Taps::subscribe(&layer);
-    let mut outputs = Vec::with_capacity(input.len());
-    for chunk in input.chunks(CHUNK) {
-        for out in layer.ingest_batch(chunk.iter().copied()) {
-            outputs.push(format!("{out:?}"));
-            layer.recycle(out);
-        }
+    let mut outputs = Outputs::default();
+    for r in input {
+        outputs.push(&layer.ingest(*r));
     }
     finish_trace(layer, taps, outputs)
 }
 
-/// Columnar arm: rows packed into a reused [`RecordBatch`] and ingested
-/// through `ingest_record_batch`.
-fn trace_columnar(input: &[PositionReport], poisoned: bool) -> RunTrace {
+/// Batch arm: `ingest_batch` in `chunk`-sized slices, recycling every
+/// output back into the layer's buffer pool (recycling must never change
+/// what a later record produces).
+fn trace_batched(input: &[PositionReport], poisoned: bool, chunk: usize) -> RunTrace {
     let mut layer = make_layer(poisoned);
     let taps = Taps::subscribe(&layer);
-    let mut outputs = Vec::with_capacity(input.len());
-    let mut batch = RecordBatch::with_capacity(CHUNK);
-    for chunk in input.chunks(CHUNK) {
-        batch.clear();
-        for r in chunk {
-            batch.push(*r);
-        }
-        for out in layer.ingest_record_batch(&batch) {
-            outputs.push(format!("{out:?}"));
+    let mut outputs = Outputs::default();
+    for chunk in input.chunks(chunk) {
+        for out in layer.ingest_batch(chunk.iter().copied()) {
+            outputs.push(&out);
             layer.recycle(out);
         }
     }
@@ -241,18 +273,10 @@ fn batch_path_is_bit_identical_to_per_record_under_chaos() {
             reference.outputs.iter().any(|o| o.contains("ChangeInHeading")),
             "seed {seed}: the fleet must exercise the synopses stage"
         );
-        let batched = trace_batched(&input, false);
-        assert_traces_match(&reference, &batched, &format!("chaos seed {seed}"));
-    }
-}
-
-#[test]
-fn columnar_record_batches_match_per_record() {
-    for seed in [SEEDS[0], SEEDS[1]] {
-        let input = chaotic_input(seed);
-        let reference = trace_per_record(&input, false);
-        let columnar = trace_columnar(&input, false);
-        assert_traces_match(&reference, &columnar, &format!("columnar seed {seed}"));
+        for chunk in [2, CHUNK, input.len()] {
+            let batched = trace_batched(&input, false, chunk);
+            assert_traces_match(&reference, &batched, &format!("chaos seed {seed}, chunks of {chunk}"));
+        }
     }
 }
 
@@ -268,13 +292,13 @@ fn batch_path_matches_under_supervision_panics() {
         reference.health.contains("quarantined_entities: 1"),
         "seed {seed}: the poisoned entity must be quarantined in the reference run"
     );
-    let batched = trace_batched(&input, true);
+    let batched = trace_batched(&input, true, CHUNK);
     assert_traces_match(&reference, &batched, &format!("poisoned chaos seed {seed}"));
 }
 
 #[test]
 fn sharded_workers_on_the_batch_path_match_single_threaded() {
-    // Sharded workers now run `ingest_batch` via `ShardStage::on_batch`;
+    // Sharded workers run `ingest_batch` via `ShardStage::on_batch`;
     // the merged output stream must still be positionally identical to the
     // single-threaded per-record reference.
     for (seed, shards) in [(SEEDS[0], 2usize), (SEEDS[3], 4usize)] {
