@@ -1,14 +1,13 @@
-//! In-situ running statistics (§4.2.1).
+//! E-INS (§4.2.1): in-situ per-trajectory statistics.
 //!
 //! "Attributes of min/max, median/average of properties (e.g. speed,
 //! acceleration etc.) are generated on a per trajectory basis" to support
 //! data-quality assessment. [`RunningStats`] maintains exact min/max/mean
-//! and an exact streaming median (two-heap method); [`InSituProcessor`]
-//! tracks speed and acceleration per entity and annotates each report with
-//! the statistics so far.
+//! and an exact streaming median (two-heap method). The median keeps every
+//! observation, so its memory grows with the stream: the experiment checks
+//! it against a sort-based reference, and the real-time layer does not
+//! carry it.
 
-use crate::operator::Operator;
-use datacron_geo::{EntityId, PositionReport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -123,89 +122,10 @@ impl RunningStats {
     }
 }
 
-/// Per-trajectory statistics of the in-situ layer.
-#[derive(Debug, Clone, Default)]
-pub struct TrajectoryStats {
-    /// Speed summary, m/s.
-    pub speed: RunningStats,
-    /// Acceleration summary, m/s².
-    pub acceleration: RunningStats,
-    /// Report-interval summary, seconds.
-    pub report_interval: RunningStats,
-}
-
-/// A report annotated with its trajectory's statistics so far.
-#[derive(Debug, Clone)]
-pub struct AnnotatedReport {
-    /// The original report.
-    pub report: PositionReport,
-    /// Mean speed so far, m/s.
-    pub mean_speed: f64,
-    /// Median speed so far, m/s.
-    pub median_speed: f64,
-    /// Max acceleration magnitude so far, m/s².
-    pub max_acceleration: f64,
-}
-
-/// Per-entity in-situ statistics operator. Use one per entity.
-#[derive(Debug, Clone, Default)]
-pub struct InSituProcessor {
-    stats: TrajectoryStats,
-    last: Option<PositionReport>,
-    entity: Option<EntityId>,
-}
-
-impl InSituProcessor {
-    /// Creates an empty processor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated statistics.
-    pub fn stats(&self) -> &TrajectoryStats {
-        &self.stats
-    }
-
-    /// Ingests one report, returning the annotation.
-    pub fn ingest(&mut self, r: PositionReport) -> AnnotatedReport {
-        debug_assert!(
-            self.entity.is_none() || self.entity == Some(r.entity),
-            "one InSituProcessor per entity"
-        );
-        self.entity = Some(r.entity);
-        self.stats.speed.push(r.speed_mps);
-        if let Some(prev) = &self.last {
-            let dt = r.ts.delta_secs(&prev.ts);
-            if dt > 0.0 {
-                self.stats.report_interval.push(dt);
-                self.stats.acceleration.push((r.speed_mps - prev.speed_mps) / dt);
-            }
-        }
-        self.last = Some(r);
-        AnnotatedReport {
-            report: r,
-            mean_speed: self.stats.speed.mean().unwrap_or(0.0),
-            median_speed: self.stats.speed.median().unwrap_or(0.0),
-            max_acceleration: self
-                .stats
-                .acceleration
-                .max()
-                .map(|mx| mx.abs().max(self.stats.acceleration.min().unwrap_or(0.0).abs()))
-                .unwrap_or(0.0),
-        }
-    }
-}
-
-impl Operator<PositionReport, AnnotatedReport> for InSituProcessor {
-    fn on_record(&mut self, input: PositionReport, out: &mut Vec<AnnotatedReport>) {
-        out.push(self.ingest(input));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datacron_geo::{GeoPoint, Timestamp};
+    use datacron_data::rng::SeededRng;
 
     #[test]
     fn running_stats_basic_moments() {
@@ -229,16 +149,51 @@ mod tests {
         assert_eq!(s.median(), Some(2.5));
     }
 
+    /// The E-INS gate: every statistic equals a sort-based reference over
+    /// a permutation stream and seeded speed-like streams of odd and even
+    /// length, with ties.
     #[test]
     fn median_matches_sorted_reference() {
-        let mut s = RunningStats::new();
-        let xs: Vec<f64> = (0..101).map(|i| ((i * 7919) % 101) as f64).collect();
-        for &x in &xs {
-            s.push(x);
+        let mut streams: Vec<Vec<f64>> =
+            vec![(0..101).map(|i| ((i * 7919) % 101) as f64).collect()];
+        for (seed, n) in [(1u64, 1_000usize), (42, 1_001), (0xDEAD_BEEF, 257)] {
+            let mut rng = SeededRng::new(seed);
+            streams.push(
+                (0..n)
+                    .map(|_| {
+                        if rng.chance(0.2) {
+                            rng.int_range(0, 20) as f64
+                        } else {
+                            rng.gaussian(8.0, 3.0)
+                        }
+                    })
+                    .collect(),
+            );
         }
-        let mut sorted = xs.clone();
-        sorted.sort_by(f64::total_cmp);
-        assert_eq!(s.median(), Some(sorted[50]));
+        for xs in &streams {
+            let mut s = RunningStats::new();
+            for &x in xs {
+                s.push(x);
+            }
+            let mut sorted = xs.clone();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+            let median = if n % 2 == 1 {
+                sorted[n / 2]
+            } else {
+                (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+            };
+            let mean = sorted.iter().sum::<f64>() / n as f64;
+            assert_eq!(s.count(), n as u64);
+            assert_eq!(s.min(), Some(sorted[0]), "n = {n}");
+            assert_eq!(s.max(), Some(sorted[n - 1]), "n = {n}");
+            assert_eq!(s.median(), Some(median), "n = {n}");
+            let got = s.mean().unwrap();
+            assert!(
+                (got - mean).abs() <= 1e-9 * mean.abs().max(1.0),
+                "n = {n}: mean {got} vs {mean}"
+            );
+        }
     }
 
     #[test]
@@ -258,44 +213,5 @@ mod tests {
         s.push(2.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.median(), Some(2.0));
-    }
-
-    fn report(t_s: i64, speed: f64) -> PositionReport {
-        PositionReport {
-            speed_mps: speed,
-            ..PositionReport::basic(
-                EntityId::vessel(1),
-                Timestamp::from_secs(t_s),
-                GeoPoint::new(0.0, 40.0),
-            )
-        }
-    }
-
-    #[test]
-    fn insitu_accumulates_speed_and_acceleration() {
-        let mut p = InSituProcessor::new();
-        p.ingest(report(0, 0.0));
-        p.ingest(report(10, 5.0)); // +0.5 m/s²
-        let a = p.ingest(report(20, 5.0)); // 0 m/s²
-        assert!((a.mean_speed - 10.0 / 3.0).abs() < 1e-9);
-        assert_eq!(a.median_speed, 5.0);
-        assert!((a.max_acceleration - 0.5).abs() < 1e-9);
-        assert_eq!(p.stats().report_interval.mean(), Some(10.0));
-    }
-
-    #[test]
-    fn deceleration_counts_toward_max_magnitude() {
-        let mut p = InSituProcessor::new();
-        p.ingest(report(0, 10.0));
-        let a = p.ingest(report(10, 0.0)); // -1.0 m/s²
-        assert!((a.max_acceleration - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn operator_annotates_every_record() {
-        let mut p = InSituProcessor::new();
-        let out = p.run((0..5).map(|i| report(i * 10, i as f64)));
-        assert_eq!(out.len(), 5);
-        assert!(out.last().unwrap().mean_speed > 0.0);
     }
 }

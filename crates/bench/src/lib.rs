@@ -9,6 +9,7 @@
 //! Run an experiment with e.g.
 //! `cargo run --release -p datacron-bench --bin exp_fig8`.
 
+pub mod insitu;
 pub mod workloads;
 
 use std::time::Instant;

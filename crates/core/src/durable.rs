@@ -514,7 +514,6 @@ impl Encode for LayerState {
         self.linker_stats.encode(w);
         w.put_u64(self.rdf_generated);
         w.put_u64(self.rdf_skipped);
-        self.cleaned.encode(w);
         self.critical.encode(w);
         self.area_events.encode(w);
         self.triples.encode(w);
@@ -538,7 +537,6 @@ impl Decode for LayerState {
             linker_stats: Decode::decode(r)?,
             rdf_generated: r.get_u64()?,
             rdf_skipped: r.get_u64()?,
-            cleaned: Decode::decode(r)?,
             critical: Decode::decode(r)?,
             area_events: Decode::decode(r)?,
             triples: Decode::decode(r)?,
@@ -655,7 +653,6 @@ mod tests {
             linker_stats: Default::default(),
             rdf_generated: 0,
             rdf_skipped: 0,
-            cleaned: empty_topic(),
             critical: empty_topic(),
             area_events: empty_topic(),
             triples: empty_topic(),

@@ -42,7 +42,6 @@ use datacron_rdf::fast::SemanticNodeLifter;
 use datacron_rdf::term::Triple;
 use datacron_stream::bus::{Topic, TopicHealth};
 use datacron_stream::cleaning::{CleanerState, CleaningOutcome, StreamCleaner};
-use datacron_stream::fusion::{CrossStreamFusion, FusionConfig, SourceId};
 use datacron_stream::lowlevel::{AreaEvent, AreaMonitor};
 use datacron_synopses::{CriticalKind, CriticalPoint, SynopsesGenerator, SynopsesState};
 use std::collections::VecDeque;
@@ -394,7 +393,6 @@ impl EntityState {
 /// (every entry point takes `&mut self`), so the deferral is invisible.
 #[derive(Default)]
 struct BatchBuffers {
-    cleaned: Vec<PositionReport>,
     critical: Vec<CriticalPoint>,
     area_events: Vec<AreaEvent>,
     triples: Vec<Triple>,
@@ -493,8 +491,6 @@ pub struct RealTimeLayer {
     /// and keep their own run-state. `None` disables forecasting.
     cep_template: Option<Wayeb>,
     cep_symbolizer: Option<Symbolizer>,
-    /// Optional cross-stream fusion front-end (multi-source ingestion).
-    fusion: Option<CrossStreamFusion>,
     /// Optional user-attached per-entity stage (supervised).
     entity_stage: Option<EntityStage>,
     /// Per-entity supervision records.
@@ -547,8 +543,6 @@ pub struct RealTimeLayer {
     // Unbounded: each keeps a message only until every consumer registered
     // at publish time has read it, so a topic nobody subscribes to holds
     // nothing. Subscribe before the first ingest to observe a stream.
-    /// Accepted (clean) reports that completed the full chain.
-    pub cleaned: Arc<Topic<PositionReport>>,
     /// Trajectory synopses.
     pub critical: Arc<Topic<CriticalPoint>>,
     /// Low-level area events.
@@ -589,7 +583,6 @@ impl RealTimeLayer {
             rdf_skipped: 0,
             cep_template: None,
             cep_symbolizer: None,
-            fusion: None,
             entity_stage: None,
             supervision: FxHashMap::default(),
             spill: SpillStore::new(config.spill_dir.clone()),
@@ -607,7 +600,6 @@ impl RealTimeLayer {
             obs,
             metrics,
             metric_ticks: 0,
-            cleaned: Topic::new("cleaned"),
             critical: Topic::new("critical-points"),
             area_events: Topic::new("area-events"),
             triples: Topic::new("triples"),
@@ -635,45 +627,6 @@ impl RealTimeLayer {
     ) {
         self.cep_template = Some(engine);
         self.cep_symbolizer = Some(Arc::new(symbolizer));
-    }
-
-    /// Enables the cross-stream fusion front-end: reports ingested via
-    /// [`ingest_from`](Self::ingest_from) are merged across sources
-    /// (reordered, deduplicated, conflict-resolved) before entering the
-    /// pipeline.
-    pub fn enable_fusion(
-        &mut self,
-        config: FusionConfig,
-        priorities: impl IntoIterator<Item = (SourceId, u8)>,
-    ) {
-        self.fusion = Some(CrossStreamFusion::new(config, priorities));
-    }
-
-    /// Ingests a report from a tagged source through the fusion front-end;
-    /// every report the fusion releases flows through the full chain.
-    ///
-    /// # Panics
-    /// Panics when fusion was not enabled.
-    pub fn ingest_from(&mut self, source: SourceId, report: PositionReport) -> Vec<IngestOutput> {
-        let fusion = self.fusion.as_mut().expect("call enable_fusion first");
-        let released = fusion.push(source, report);
-        self.ingest_batch(released)
-    }
-
-    /// Flushes the fusion buffer (end of stream) through the chain.
-    pub fn flush_fusion(&mut self) -> Vec<IngestOutput> {
-        match self.fusion.as_mut() {
-            None => Vec::new(),
-            Some(fusion) => {
-                let released = fusion.flush();
-                self.ingest_batch(released)
-            }
-        }
-    }
-
-    /// Fusion statistics, when fusion is enabled.
-    pub fn fusion_stats(&self) -> Option<datacron_stream::fusion::FusionStats> {
-        self.fusion.as_ref().map(|f| f.stats())
     }
 
     /// The number of entities with state — resident plus spilled. See
@@ -927,8 +880,8 @@ impl RealTimeLayer {
 
     /// Steps 2–7 of the chain for an already-accepted record. Runs inside
     /// `catch_unwind`; appends each product to its topic's buffer as it is
-    /// produced, with `cleaned` first, so downstream topic contents remain
-    /// an in-order prefix-consistent view.
+    /// produced, so topic contents remain an in-order prefix-consistent
+    /// view.
     fn process_accepted(&mut self, report: PositionReport, timed: bool) -> IngestOutput {
         let mut out = self.pool.checkout();
         let state = self
@@ -940,8 +893,6 @@ impl RealTimeLayer {
         if let Some(stage) = &self.entity_stage {
             stage(&report);
         }
-
-        self.batch.cleaned.push(report);
 
         // 2. FLP history window: pop before push, so the ring holds
         // exactly `flp_window` reports and never reallocates once full.
@@ -1049,7 +1000,6 @@ impl RealTimeLayer {
             .filter(|e| e.status == ComponentStatus::Quarantined)
             .count() as u64;
         let mut topics = vec![
-            self.cleaned.health(),
             self.critical.health(),
             self.area_events.health(),
             self.triples.health(),
@@ -1107,7 +1057,6 @@ impl RealTimeLayer {
         let mut snap = self.obs.snapshot();
         if self.obs.is_enabled() {
             for health in [
-                self.cleaned.health(),
                 self.critical.health(),
                 self.area_events.health(),
                 self.triples.health(),
@@ -1144,7 +1093,6 @@ impl RealTimeLayer {
     /// touched counter. Buffer allocations are retained for the next call.
     fn flush_batch_buffers(&mut self) {
         let b = &mut self.batch;
-        publish_deferred(&self.cleaned, &mut b.cleaned);
         publish_deferred(&self.critical, &mut b.critical);
         publish_deferred(&self.area_events, &mut b.area_events);
         publish_deferred(&self.triples, &mut b.triples);
@@ -1260,14 +1208,12 @@ impl RealTimeLayer {
 
     /// Captures the layer's complete durable state: per-entity operator
     /// snapshots, supervision records, layer counters, area-monitor
-    /// residency, linker/RDF counters and all six output topics (offsets,
+    /// residency, linker/RDF counters and all five output topics (offsets,
     /// counters and the messages some consumer has not read yet — empty
     /// for a topic nobody subscribes to). Entities are sorted, so two
     /// identical runs produce byte-identical encodings.
     ///
-    /// Deliberately excluded: the fusion front-end buffer (records inside
-    /// it have not yet been write-ahead logged, so recovery re-feeds them
-    /// from the source) and the RDF lifter's interned symbols
+    /// Deliberately excluded: the RDF lifter's interned symbols
     /// (process-local handles, rebuilt on first use).
     pub fn checkpoint_state(&self) -> LayerState {
         let mut entities: Vec<EntityCheckpoint> =
@@ -1305,7 +1251,6 @@ impl RealTimeLayer {
             linker_stats: self.linker.stats(),
             rdf_generated: self.rdf_generated,
             rdf_skipped: self.rdf_skipped,
-            cleaned: topic_checkpoint(&self.cleaned),
             critical: topic_checkpoint(&self.critical),
             area_events: topic_checkpoint(&self.area_events),
             triples: topic_checkpoint(&self.triples),
@@ -1354,7 +1299,6 @@ impl RealTimeLayer {
         self.linker.restore_stats(state.linker_stats);
         self.rdf_generated = state.rdf_generated;
         self.rdf_skipped = state.rdf_skipped;
-        restore_topic(&self.cleaned, state.cleaned);
         restore_topic(&self.critical, state.critical);
         restore_topic(&self.area_events, state.area_events);
         restore_topic(&self.triples, state.triples);
@@ -1466,8 +1410,6 @@ pub struct LayerState {
     pub rdf_generated: u64,
     /// RDF patterns skipped.
     pub rdf_skipped: u64,
-    /// The `cleaned` topic.
-    pub cleaned: TopicCheckpoint<PositionReport>,
     /// The `critical-points` topic.
     pub critical: TopicCheckpoint<CriticalPoint>,
     /// The `area-events` topic.
@@ -1521,6 +1463,7 @@ pub mod symbols {
 mod tests {
     use super::*;
     use datacron_geo::{BoundingBox, Timestamp};
+    use datacron_stream::fusion::{CrossStreamFusion, FusionConfig};
 
     fn layer() -> RealTimeLayer {
         let extent = BoundingBox::new(0.0, 38.0, 3.0, 42.0);
@@ -1572,7 +1515,7 @@ mod tests {
         let out = l.ingest(bad);
         assert!(!out.accepted);
         assert!(out.critical_points.is_empty());
-        assert_eq!(l.cleaned.len(), 0);
+        assert_eq!(l.health().accepted, 0);
     }
 
     #[test]
@@ -1626,33 +1569,28 @@ mod tests {
 
     #[test]
     fn fused_multi_source_ingestion() {
+        // The caller composes fusion in front of the layer: what
+        // `CrossStreamFusion::push` releases goes to `ingest_batch`.
         let mut l = layer();
-        l.enable_fusion(datacron_stream::fusion::FusionConfig::default(), [(0u8, 0u8), (1, 1)]);
+        let mut fusion = CrossStreamFusion::new(FusionConfig::default(), [(0u8, 0u8), (1, 1)]);
         let mut p = GeoPoint::new(1.0, 40.0);
         let mut outs = Vec::new();
         for i in 0..40i64 {
-            outs.extend(l.ingest_from(0, rep(i * 10, p.lon, p.lat, 8.0, 90.0)));
+            outs.extend(l.ingest_batch(fusion.push(0, rep(i * 10, p.lon, p.lat, 8.0, 90.0))));
             if i % 4 == 0 {
                 // Satellite echo of the same observation, slightly offset.
                 let echo = rep(i * 10 + 1, p.lon + 0.0001, p.lat, 8.0, 90.0);
-                outs.extend(l.ingest_from(1, echo));
+                outs.extend(l.ingest_batch(fusion.push(1, echo)));
             }
             p = p.destination(90.0, 80.0);
         }
-        outs.extend(l.flush_fusion());
-        let stats = l.fusion_stats().expect("fusion enabled");
+        outs.extend(l.ingest_batch(fusion.flush()));
+        let stats = fusion.stats();
         assert_eq!(stats.ingested, 50);
         assert_eq!(stats.duplicates, 10, "satellite echoes deduplicated");
         // The pipeline saw exactly the fused stream.
-        assert_eq!(l.cleaned.len(), stats.emitted);
-        assert!(outs.iter().filter(|o| o.accepted).count() as u64 == stats.emitted);
-    }
-
-    #[test]
-    #[should_panic(expected = "enable_fusion")]
-    fn ingest_from_requires_fusion() {
-        let mut l = layer();
-        l.ingest_from(0, rep(0, 1.0, 40.0, 8.0, 90.0));
+        assert_eq!(outs.len() as u64, stats.emitted);
+        assert_eq!(outs.iter().filter(|o| o.accepted).count() as u64, stats.emitted);
     }
 
     #[test]

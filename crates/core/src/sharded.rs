@@ -209,7 +209,6 @@ fn empty_state(watermark: datacron_geo::Timestamp) -> LayerState {
         linker_stats: Default::default(),
         rdf_generated: 0,
         rdf_skipped: 0,
-        cleaned: empty_topic(),
         critical: empty_topic(),
         area_events: empty_topic(),
         triples: empty_topic(),
@@ -242,9 +241,9 @@ fn fold_topic_meta<T>(dst: &mut TopicCheckpoint<T>, src: &TopicCheckpoint<T>) {
 ///
 /// * **Per-entity state travels whole.** Entity checkpoints, supervision
 ///   records (including quarantine), area-monitor residency and retained
-///   per-entity topic items (cleaned, critical, area events, links, dead
-///   letters) each land on the entity's new route; per-shard collections
-///   are re-sorted by entity id, matching what a fixed-layout checkpoint
+///   per-entity topic items (critical, area events, links, dead letters)
+///   each land on the entity's new route; per-shard collections are
+///   re-sorted by entity id, matching what a fixed-layout checkpoint
 ///   produces.
 /// * **Sums are conserved.** Scalar counters, linker/RDF counters and
 ///   topic base offsets/stats fold additively into new shard `old % N'`
@@ -283,7 +282,6 @@ pub fn repartition_states(
             t.linker_stats.links += state.linker_stats.links;
             t.rdf_generated += state.rdf_generated;
             t.rdf_skipped += state.rdf_skipped;
-            fold_topic_meta(&mut t.cleaned, &state.cleaned);
             fold_topic_meta(&mut t.critical, &state.critical);
             fold_topic_meta(&mut t.area_events, &state.area_events);
             fold_topic_meta(&mut t.triples, &state.triples);
@@ -309,9 +307,6 @@ pub fn repartition_states(
         for m in state.monitor_inside {
             let s = route(m.0);
             out[s].monitor_inside.push(m);
-        }
-        for r in state.cleaned.retained {
-            out[assigner.assign(&r.entity) as usize].cleaned.retained.push(r);
         }
         for cp in state.critical.retained {
             out[assigner.assign(&cp.report.entity) as usize].critical.retained.push(cp);
@@ -1209,7 +1204,7 @@ mod tests {
             (
                 ss.iter().map(|s| s.accepted_total).sum::<u64>(),
                 ss.iter().map(|s| s.entities.len()).sum::<usize>(),
-                ss.iter().map(|s| s.cleaned.base + s.cleaned.retained.len() as u64).sum::<u64>(),
+                ss.iter().map(|s| s.critical.base + s.critical.retained.len() as u64).sum::<u64>(),
                 ss.iter().map(|s| s.dead_letters.base + s.dead_letters.retained.len() as u64).sum::<u64>(),
             )
         };

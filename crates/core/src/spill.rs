@@ -16,7 +16,7 @@
 //! ## Tiers
 //!
 //! * **Memory tier** (always available): the encoded blob is held in a
-//!   size-classed slab arena ([`BlobSlab`]) — compact codec bytes instead
+//!   size-classed slab arena (`BlobSlab`) — compact codec bytes instead
 //!   of live operator state, still O(fleet) but a fraction of the
 //!   resident footprint, and packed into a few large segments so a
 //!   million spilled entities do not fragment the general-purpose heap

@@ -17,8 +17,8 @@
 //!
 //! `send` encodes frames onto one `out` buffer, written with a single
 //! `write_all` and followed by one non-blocking ACK drain when it reaches
-//! [`COALESCE_BYTES`], when the previous socket write is
-//! [`COALESCE_LINGER`] old, or before anything that blocks or ends. A
+//! `COALESCE_BYTES` (8 KiB), when the previous socket write is
+//! `COALESCE_LINGER` (1 ms) old, or before anything that blocks or ends. A
 //! feeder slower than the linger is therefore write-through, and one that
 //! keeps sending holds no record longer than the linger plus one
 //! inter-arrival gap. A frame in `out` is never the only copy of its
@@ -152,6 +152,7 @@ pub struct NetClient {
     scratch: Vec<u8>,
     hb_nonce: u64,
     reconnects_c: Counter,
+    sessions_lost_c: Counter,
     writes_c: Counter,
     crc_errors_c: Counter,
     backoff_ms_h: LogHistogram,
@@ -169,7 +170,9 @@ fn recoverable(e: &NetError) -> bool {
         | NetError::Timeout
         | NetError::Protocol(_) => true,
         NetError::Nacked { reason, .. } => *reason != NackReason::BadVersion,
-        NetError::PeerUnavailable { .. } | NetError::LossyTopicPolicy => false,
+        NetError::PeerUnavailable { .. }
+        | NetError::LossyTopicPolicy
+        | NetError::SessionLost { .. } => false,
     }
 }
 
@@ -191,6 +194,7 @@ impl NetClient {
             scratch: Vec::new(),
             hb_nonce: 0,
             reconnects_c: obs.counter("net.client.reconnects"),
+            sessions_lost_c: obs.counter("net.client.sessions_lost"),
             writes_c: obs.counter("net.client.writes"),
             crc_errors_c: obs.counter("net.frame.crc_errors"),
             backoff_ms_h: obs.histogram("net.client.backoff_ms"),
@@ -221,7 +225,7 @@ impl NetClient {
     /// blocks draining ACKs when the window is full.
     ///
     /// The frame reaches the socket now if the line was quiet for
-    /// [`COALESCE_LINGER`] or the buffer reached [`COALESCE_BYTES`];
+    /// `COALESCE_LINGER` (1 ms) or the buffer reached `COALESCE_BYTES`;
     /// otherwise with the next client call that writes. A burst's tail of
     /// under 8 KiB therefore waits for that next call: a feeder going quiet
     /// calls [`flush`](Self::flush).
@@ -552,10 +556,17 @@ impl NetClient {
     }
 
     /// Advance the acknowledged watermark: prune the window and (for real
-    /// post-handshake ACKs) reset the reconnect backoff.
+    /// post-handshake ACKs) reset the reconnect backoff. A handshake
+    /// watermark below one already acknowledged means the server forgot
+    /// the session: [`NetError::SessionLost`]. Every `HelloAck` carries the
+    /// session's current watermark, so a duplicated one cannot trip this.
     fn apply_ack(&mut self, up_to: u64, handshake: bool) -> Result<(), NetError> {
         if up_to > self.next_seq {
             return Err(NetError::Protocol("ack beyond the sent window"));
+        }
+        if handshake && up_to < self.acked {
+            self.sessions_lost_c.inc();
+            return Err(NetError::SessionLost { server_ack: up_to, client_acked: self.acked });
         }
         while let Some(&(seq, _)) = self.window.front() {
             if seq < up_to {

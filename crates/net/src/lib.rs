@@ -89,6 +89,16 @@ pub enum NetError {
     /// forbidden over the wire, because the server would acknowledge
     /// records it later silently discards.
     LossyTopicPolicy,
+    /// The server answered the handshake with a watermark below what it
+    /// had already acknowledged to this client: it lost the session (it
+    /// restarted with an empty session table). Replaying cannot heal this,
+    /// because the server would wait for sequences the client has pruned.
+    SessionLost {
+        /// The watermark the server offered in its `HelloAck`.
+        server_ack: u64,
+        /// The watermark the client already holds acknowledged.
+        client_acked: u64,
+    },
 }
 
 impl std::fmt::Display for NetError {
@@ -110,6 +120,11 @@ impl std::fmt::Display for NetError {
                 f,
                 "bounded DropOldest topic cannot back a network server: \
                  acknowledged records must never be silently dropped"
+            ),
+            NetError::SessionLost { server_ack, client_acked } => write!(
+                f,
+                "server lost the session: it acknowledges {server_ack} records, \
+                 {client_acked} were already acknowledged"
             ),
         }
     }

@@ -262,8 +262,8 @@ pub fn encode_msg_into(wire_seq: u64, msg: &WireMsg, scratch: &mut Vec<u8>, out:
 /// buffer filled by **one `read` per socket drain**, its frames validated
 /// and parsed in place, so a peer that coalesces writes costs its receiver
 /// one syscall per batch instead of two per frame. The buffer outgrows
-/// [`READ_BUF_BYTES`] only to hold one frame whose declared size passed the
-/// [`MAX_PAYLOAD_BYTES`] check.
+/// `READ_BUF_BYTES` (64 KiB) only to hold one frame whose declared size
+/// passed the [`MAX_PAYLOAD_BYTES`] check.
 #[derive(Default)]
 pub struct FrameReader {
     /// `buf[start..end]` holds the bytes received and not yet consumed.
@@ -296,8 +296,8 @@ impl FrameReader {
     /// frame** buffered — the stream is frame-aligned and the caller may
     /// simply try again (this is how handlers notice shutdown flags and
     /// idle peers). Once a frame has started arriving it is read to
-    /// completion, tolerating up to [`MID_FRAME_RETRIES`] further timeouts
-    /// before declaring a stall.
+    /// completion, tolerating up to `MID_FRAME_RETRIES` (50) further
+    /// timeouts before declaring a stall.
     pub fn next_msg<R: Read>(&mut self, r: &mut R) -> Result<Option<(u64, WireMsg)>, NetError> {
         self.next_span(r)?.map(|span| self.decode(span)).transpose()
     }

@@ -1,7 +1,8 @@
 //! Loopback integration tests for the wire protocol: clean round trips,
 //! admission control per overflow policy, dead-peer handling, session
-//! resume across a killed connection, and the batching contract (coalesced
-//! writes on the feeder, one cumulative ACK per drained batch).
+//! resume across a killed connection (and its typed end when the server
+//! restarts), and the batching contract (coalesced writes on the feeder,
+//! one cumulative ACK per drained batch).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -168,6 +169,48 @@ fn session_resumes_after_connection_kill_with_no_loss_or_duplication() {
     assert_eq!(snap.next_expected, 300);
     assert_eq!(snap.finished, Some(300));
     server.shutdown();
+}
+
+#[test]
+fn a_restarted_server_is_a_lost_session_not_a_livelock() {
+    let topic: Arc<Topic<PositionReport>> = Topic::new("net.lost");
+    let _consumer = topic.consumer();
+    let obs = ObsRegistry::new();
+    let server = NetServer::bind("127.0.0.1:0", fast_server(), Arc::clone(&topic), &obs).unwrap();
+    let addr = server.local_addr();
+    let mut client = NetClient::connect(fast_client(addr.to_string(), 31), &obs).unwrap();
+    for i in 0..100 {
+        client.send(report(3, i)).unwrap();
+    }
+    client.flush().unwrap();
+    assert_eq!(client.stats().acked, 100);
+
+    // A new server on the same address starts with an empty session table.
+    server.shutdown();
+    let fresh: Arc<Topic<PositionReport>> = Topic::new("net.lost.fresh");
+    let mut fresh_rx = fresh.consumer();
+    let restarted = NetServer::bind(addr, fast_server(), Arc::clone(&fresh), &obs).unwrap();
+
+    // The client runs in its own thread, so a livelocked client fails the
+    // bounded wait below instead of hanging the test.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let feeder = std::thread::spawn(move || {
+        let result = client.send(report(3, 100)).and_then(|()| client.flush());
+        let _ = tx.send(result);
+    });
+    let result = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("no error within 1 s: the client livelocks against the restarted server");
+    feeder.join().expect("feeder thread");
+    match result {
+        Err(NetError::SessionLost { server_ack, client_acked }) => {
+            assert_eq!((server_ack, client_acked), (0, 100));
+        }
+        other => panic!("expected SessionLost, got {other:?}"),
+    }
+    assert!(fresh_rx.drain().unwrap().is_empty(), "nothing may be delivered twice");
+    assert_eq!(obs.snapshot().counter("net.client.sessions_lost"), Some(1));
+    restarted.shutdown();
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //!   dictionary-encodes a batch on the hot path and appends one immutable
 //!   run sorted by `(s, p, o)` per touched partition, merging that
 //!   partition's newest runs while the older is no more than
-//!   [`MERGE_RATIO`]× the newer: O(log batches) runs however long the stream.
+//!   `MERGE_RATIO` (2)× the newer: O(log batches) runs however long the
+//!   stream.
 //! * **Snapshot isolation** — committed state is an immutable
 //!   [`Generation`]: an `Arc` holding per-partition run lists and a
 //!   triple-count watermark. Publishing a batch swaps one `Arc` pointer;
@@ -23,8 +24,9 @@
 //!   the generation is published, so pinned reads stay consistent while
 //!   the dictionary grows.
 //! * **Continuous queries** — register a [`StarQuery`] with
-//!   [`subscribe`](LiveStore::subscribe) and receive [`StarMatch`]es on a
-//!   bounded output [`Topic`](datacron_stream::bus::Topic) as triples
+//!   [`subscribe`](LiveStore::subscribe) and receive
+//!   [`StarMatch`](crate::StarMatch)es on a bounded output
+//!   [`Topic`](datacron_stream::bus::Topic) as triples
 //!   arrive. Star-join matches are *monotone* (triples are only added and
 //!   anchors are fixed at encode time), so each subject is emitted exactly
 //!   once and the union of emissions equals the result of one

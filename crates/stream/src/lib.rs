@@ -25,9 +25,6 @@
 //! * [`cleaning`] — online data cleaning: plausibility filtering,
 //!   impossible-speed outlier rejection, duplicate and out-of-order
 //!   handling ("online data cleaning of erroneous data", §3).
-//! * [`insitu`] — per-trajectory running statistics (min/max/average/median
-//!   of speed, acceleration, …) computed "as close to the sources as
-//!   possible" (§4.2.1).
 //! * [`lowlevel`] — low-level event detection: entry/exit of moving
 //!   entities to/from geographical areas of interest.
 //! * [`fusion`] — cross-stream fusion of multiple surveillance sources into
@@ -38,7 +35,6 @@ pub mod bus;
 pub mod cleaning;
 pub mod faults;
 pub mod fusion;
-pub mod insitu;
 pub mod lowlevel;
 pub mod operator;
 pub mod parallel;
@@ -47,7 +43,6 @@ pub use bus::{Consumer, Lagged, MessageBus, OverflowPolicy, PublishError, SpaceW
 pub use faults::{ChaosSource, ChaosTopic, Corrupt, DiskFault, FaultInjector, FaultPlan, FaultStats, NetFault, NetFaultPlan, NetFaultSchedule, NetFaultStats, inject_disk_fault};
 pub use fusion::{CrossStreamFusion, FusionConfig, FusionStats};
 pub use cleaning::{CleanerState, CleaningConfig, CleaningOutcome, StreamCleaner};
-pub use insitu::{InSituProcessor, RunningStats, TrajectoryStats};
 pub use lowlevel::{AreaEvent, AreaEventKind, AreaMonitor};
 pub use operator::Operator;
 pub use parallel::{

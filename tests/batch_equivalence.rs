@@ -3,7 +3,7 @@
 //! `RealTimeLayer::ingest` is `ingest_batch` over one record: both run the
 //! same per-record chain and flush the deferred publishes and counter bumps
 //! at the end of the call. This suite pins that nothing observable depends
-//! on where the input is cut into calls: per-record outputs, all six topic
+//! on where the input is cut into calls: per-record outputs, all five topic
 //! contents, end-of-stream flush, health, dead-letter labels and every
 //! count-typed metric are bit-identical between one record per call and
 //! chunks of 2, `CHUNK` and the whole input — under chaotic input, with
@@ -11,8 +11,8 @@
 //! through the sharded executor (whose workers cut runs at their own
 //! boundaries via `ShardStage::on_batch`). Since every arm shares one
 //! publish path, each run also checks every topic against its own
-//! outputs: one `cleaned` per accepted record, one dead letter per
-//! rejected one, and every critical point, area event, triple and link.
+//! outputs: one dead letter per rejected record, and every critical
+//! point, area event, triple and link.
 //! Every compared stream is the whole topic, and the reference run
 //! exercises the synopses stage and quarantine, so no comparison can pass
 //! vacuously.
@@ -128,10 +128,9 @@ struct RunTrace {
     topics: Vec<String>,
 }
 
-/// Consumers on all six output topics, registered before the first
+/// Consumers on all five output topics, registered before the first
 /// ingest: a topic keeps nothing for a reader that joins later.
 struct Taps {
-    cleaned: Consumer<PositionReport>,
     critical: Consumer<CriticalPoint>,
     area_events: Consumer<AreaEvent>,
     triples: Consumer<Triple>,
@@ -142,7 +141,6 @@ struct Taps {
 impl Taps {
     fn subscribe(layer: &RealTimeLayer) -> Self {
         Self {
-            cleaned: layer.cleaned.consumer(),
             critical: layer.critical.consumer(),
             area_events: layer.area_events.consumer(),
             triples: layer.triples.consumer(),
@@ -154,7 +152,6 @@ impl Taps {
     /// Each topic's contents in Debug form.
     fn drain(mut self, layer: &RealTimeLayer) -> Vec<String> {
         vec![
-            drain_whole(&mut self.cleaned, &layer.cleaned),
             drain_whole(&mut self.critical, &layer.critical),
             drain_whole(&mut self.area_events, &layer.area_events),
             drain_whole(&mut self.triples, &layer.triples),
@@ -177,14 +174,13 @@ fn drain_whole<T: Clone + std::fmt::Debug>(rx: &mut Consumer<T>, topic: &Topic<T
 #[derive(Default)]
 struct Outputs {
     debug: Vec<String>,
-    expected: [u64; 6],
+    expected: [u64; 5],
 }
 
 impl Outputs {
     fn push(&mut self, out: &IngestOutput) {
         self.debug.push(format!("{out:?}"));
         let counts = [
-            usize::from(out.accepted),
             out.critical_points.len(),
             out.area_events.len(),
             out.triples.len(),
@@ -205,10 +201,9 @@ impl Outputs {
 fn finish_trace(mut layer: RealTimeLayer, taps: Taps, mut outputs: Outputs) -> RunTrace {
     let flush = layer.flush();
     // Each flushed critical point lifts to ten triples.
-    outputs.expected[1] += flush.len() as u64;
-    outputs.expected[3] += 10 * flush.len() as u64;
+    outputs.expected[0] += flush.len() as u64;
+    outputs.expected[2] += 10 * flush.len() as u64;
     let published = [
-        layer.cleaned.stats().published,
         layer.critical.stats().published,
         layer.area_events.stats().published,
         layer.triples.stats().published,
@@ -249,7 +244,7 @@ fn trace_batched(input: &[PositionReport], poisoned: bool, chunk: usize) -> RunT
     finish_trace(layer, taps, outputs)
 }
 
-const TOPIC_NAMES: [&str; 6] = ["cleaned", "critical", "area_events", "triples", "links", "dead_letters"];
+const TOPIC_NAMES: [&str; 5] = ["critical", "area_events", "triples", "links", "dead_letters"];
 
 fn assert_traces_match(reference: &RunTrace, got: &RunTrace, label: &str) {
     assert_eq!(got.outputs.len(), reference.outputs.len(), "{label}: output count");

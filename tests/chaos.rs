@@ -45,24 +45,26 @@ fn fresh_layer() -> RealTimeLayer {
     RealTimeLayer::new(DatacronConfig::maritime(extent()), Vec::new(), Vec::new())
 }
 
-/// Feeds the stream through a layer; returns the cleaned-topic and
-/// dead-letter-topic contents. Both are subscribed before the first
-/// ingest (a topic keeps nothing for a reader that joins later), and each
-/// drained stream must be everything its topic published.
+/// Feeds the stream through a layer; returns the accepted inputs, in
+/// order (from `IngestOutput::accepted`), and the dead-letter-topic
+/// contents. The dead-letter topic is subscribed before the first ingest
+/// (a topic keeps nothing for a reader that joins later), and each stream
+/// must be everything the layer counted.
 fn run_pipeline(
     layer: &mut RealTimeLayer,
     stream: impl Iterator<Item = PositionReport>,
 ) -> (Vec<PositionReport>, Vec<DeadLetter>) {
-    let mut cleaned_rx = layer.cleaned.consumer();
     let mut dead_rx = layer.dead_letters.consumer();
+    let mut accepted = Vec::new();
     for r in stream {
-        layer.ingest(r);
+        if layer.ingest(r).accepted {
+            accepted.push(r);
+        }
     }
-    let cleaned = cleaned_rx.drain().expect("unbounded topic never lags");
     let dead = dead_rx.drain().expect("unbounded topic never lags");
-    assert_eq!(cleaned.len() as u64, layer.cleaned.stats().published, "whole cleaned topic");
+    assert_eq!(accepted.len() as u64, layer.health().accepted, "every accepted record");
     assert_eq!(dead.len() as u64, layer.dead_letters.stats().published, "whole dead-letter topic");
-    (cleaned, dead)
+    (accepted, dead)
 }
 
 /// Bit-exact equality (f64 compared by bits, so NaN corruption can never

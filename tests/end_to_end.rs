@@ -60,7 +60,6 @@ fn full_pipeline_products_are_consistent() {
     assert!(critical + flushed < accepted / 5, "synopses must compress");
 
     // Topic consistency: everything emitted is on the bus.
-    assert_eq!(system.realtime.cleaned.len(), accepted);
     assert_eq!(system.realtime.critical.len(), critical + flushed);
     // Each critical point lifts to ten triples via the standard template.
     assert_eq!(system.realtime.triples.len(), (critical + flushed) * 10);

@@ -96,12 +96,11 @@ fn check_conservation(snap: &MetricsSnapshot, ingested: u64, dead: &[DeadLetter]
     );
     // The drained stream is the whole topic.
     assert_eq!(c("topic.dead-letters.published"), dead.len() as u64, "seed {seed}");
-    assert_eq!(c("topic.cleaned.published"), c("ingest.accepted"), "seed {seed}");
     // Supervision counters agree with the panic-labelled dead letters.
     assert_eq!(c("supervision.panics"), c("ingest.rejected.panic"), "seed {seed}");
     assert_eq!(c("supervision.restarts"), c("ingest.rejected.panic"), "seed {seed}");
     // The layer topics are unbounded: nothing may ever drop or refuse.
-    for t in ["cleaned", "critical-points", "area-events", "triples", "links", "dead-letters"] {
+    for t in ["critical-points", "area-events", "triples", "links", "dead-letters"] {
         assert_eq!(c(&format!("topic.{t}.dropped")), 0, "seed {seed}: {t}");
         assert_eq!(c(&format!("topic.{t}.rejected")), 0, "seed {seed}: {t}");
     }

@@ -7,7 +7,7 @@
 //! * the topic receives exactly the sent stream — no loss, no duplication,
 //!   no reordering — after any number of session resumes;
 //! * feeding the received stream through the real-time layer produces
-//!   cleaned outputs, dead-letter labels and health counters identical to
+//!   accepted records, dead-letter labels and health counters identical to
 //!   feeding the original stream directly.
 
 use std::sync::Arc;
@@ -136,21 +136,23 @@ fn stream_through_chaos(
 }
 
 /// Feeds `input` through a fresh real-time layer; returns the layer with
-/// its cleaned and dead-letter streams. Both topics are subscribed before
-/// the first ingest (a topic keeps nothing for a reader that joins later),
-/// and each drained stream must be everything its topic published.
+/// its accepted inputs, in order (from `IngestOutput::accepted`), and its
+/// dead-letter stream. The dead-letter topic is subscribed before the
+/// first ingest (a topic keeps nothing for a reader that joins later), and
+/// each stream must be everything the layer counted.
 fn run_layer(input: &[PositionReport]) -> (RealTimeLayer, Vec<PositionReport>, Vec<DeadLetter>) {
     let mut layer = RealTimeLayer::new(DatacronConfig::maritime(extent()), Vec::new(), Vec::new());
-    let mut cleaned_rx = layer.cleaned.consumer();
     let mut dead_rx = layer.dead_letters.consumer();
+    let mut accepted = Vec::new();
     for r in input {
-        layer.ingest(*r);
+        if layer.ingest(*r).accepted {
+            accepted.push(*r);
+        }
     }
-    let cleaned = cleaned_rx.drain().expect("unbounded topic never lags");
     let dead = dead_rx.drain().expect("unbounded topic never lags");
-    assert_eq!(cleaned.len() as u64, layer.cleaned.stats().published, "whole cleaned topic");
+    assert_eq!(accepted.len() as u64, layer.health().accepted, "every accepted record");
     assert_eq!(dead.len() as u64, layer.dead_letters.stats().published, "whole dead-letter topic");
-    (layer, cleaned, dead)
+    (layer, accepted, dead)
 }
 
 /// The acceptance drill: every seed, full wire chaos plus a forced
@@ -212,16 +214,16 @@ fn pipeline_equivalence_under_wire_chaos() {
             ChaosSource::new(raw.iter().copied(), FaultPlan::chaos(seed)).collect();
 
         // In-process arm.
-        let (direct_layer, direct_cleaned, direct_dead) = run_layer(&delivered);
+        let (direct_layer, direct_accepted, direct_dead) = run_layer(&delivered);
 
         // Networked arm under wire chaos with forced kills.
         let topic: Arc<Topic<PositionReport>> = Topic::new("net.equiv");
         let plan = NetFaultPlan::chaos(seed).with_kill_every(83);
         let (received, _, _) = stream_through_chaos(&delivered, topic, seed, plan);
-        let (net_layer, net_cleaned, net_dead) = run_layer(&received);
+        let (net_layer, net_accepted, net_dead) = run_layer(&received);
 
-        // Cleaned outputs bit-identical.
-        assert_bit_identical(&net_cleaned, &direct_cleaned, "cleaned output", seed);
+        // Accepted records bit-identical.
+        assert_bit_identical(&net_accepted, &direct_accepted, "accepted records", seed);
 
         // Dead letters: same records, same labels, same order.
         assert_eq!(direct_dead.len(), net_dead.len(), "seed {seed}: dead-letter count");

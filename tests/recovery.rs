@@ -232,7 +232,6 @@ fn recovery_keeps_the_batch_store() {
     let (seq, payload) = outcome.checkpoint.expect("a checkpoint was taken");
     assert_eq!(seq, CRASH_AT as u64);
     let state: SystemState = decode_from_slice(&payload).unwrap();
-    assert!(state.layer.cleaned.retained.is_empty());
     assert!(state.layer.triples.retained.is_empty());
     assert!(state.layer.area_events.retained.is_empty());
     assert!(state.layer.dead_letters.retained.is_empty());

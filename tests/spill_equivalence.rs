@@ -1,7 +1,7 @@
 //! Spill/rehydrate equivalence: a run under a resident-entity budget
 //! (`DatacronConfig::max_resident_entities`) — cold entities evicted into
 //! the spill store and rehydrated on their next report — must be
-//! **bit-identical** to a fully-resident run: per-record outputs, all six
+//! **bit-identical** to a fully-resident run: per-record outputs, all five
 //! topic contents, end-of-stream flush, health, dead-letter labels and
 //! every count-typed metric. Pinned under the 8 chaos seeds, single and
 //! sharded, for tight (4), loose (64) and absent budgets, through the
@@ -110,10 +110,9 @@ struct RunTrace {
     checkpoint: String,
 }
 
-/// Consumers on all six output topics, registered before the first
+/// Consumers on all five output topics, registered before the first
 /// ingest: a topic keeps nothing for a reader that joins later.
 struct Taps {
-    cleaned: Consumer<PositionReport>,
     critical: Consumer<CriticalPoint>,
     area_events: Consumer<AreaEvent>,
     triples: Consumer<Triple>,
@@ -124,7 +123,6 @@ struct Taps {
 impl Taps {
     fn subscribe(layer: &RealTimeLayer) -> Self {
         Self {
-            cleaned: layer.cleaned.consumer(),
             critical: layer.critical.consumer(),
             area_events: layer.area_events.consumer(),
             triples: layer.triples.consumer(),
@@ -136,7 +134,6 @@ impl Taps {
     /// Each topic's contents in Debug form.
     fn drain(mut self, layer: &RealTimeLayer) -> Vec<String> {
         vec![
-            drain_whole(&mut self.cleaned, &layer.cleaned),
             drain_whole(&mut self.critical, &layer.critical),
             drain_whole(&mut self.area_events, &layer.area_events),
             drain_whole(&mut self.triples, &layer.triples),
@@ -200,7 +197,7 @@ fn trace_single(input: &[PositionReport], budget: Option<usize>, poisoned: bool)
     finish_trace(layer, taps, outputs)
 }
 
-const TOPIC_NAMES: [&str; 6] = ["cleaned", "critical", "area_events", "triples", "links", "dead_letters"];
+const TOPIC_NAMES: [&str; 5] = ["critical", "area_events", "triples", "links", "dead_letters"];
 
 fn assert_traces_match(reference: &RunTrace, got: &RunTrace, label: &str) {
     assert_eq!(got.outputs.len(), reference.outputs.len(), "{label}: output count");
