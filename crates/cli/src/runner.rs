@@ -120,28 +120,34 @@ fn layer(spec: &ScenarioSpec, budget: Option<usize>, spill_dir: Option<PathBuf>)
     RealTimeLayer::new(config, regions, ports)
 }
 
-/// Runs one arm of a scenario over pre-materialised input.
+/// Runs one arm of a scenario, streaming the generator's reports into
+/// `ingest_batch` through one reused `chunk`-sized buffer: the input is
+/// never materialised, so a million-entity scenario holds one chunk of
+/// reports, not the whole run.
 ///
-/// Only the `ingest_batch` calls are timed; digesting, residency checks
-/// and recycling happen between timed sections.
+/// Only the `ingest_batch` calls are timed; generation, digesting,
+/// residency checks and recycling happen between timed sections.
 pub fn run_arm(
     spec: &ScenarioSpec,
-    input: &[PositionReport],
+    mut generator: ScenarioGenerator,
     budget: Option<usize>,
     spill_dir: Option<PathBuf>,
     chunk: usize,
 ) -> ArmReport {
     let mut layer = layer(spec, budget, spill_dir);
     let mut digest = Digest::new();
+    let mut reports = 0u64;
     let mut elapsed_ns: u128 = 0;
     let (mut accepted, mut dead_lettered) = (0u64, 0u64);
     let (mut critical_points, mut area_events, mut links, mut triples) = (0u64, 0u64, 0u64, 0u64);
     let mut max_resident = 0usize;
     let mut budget_respected = true;
 
-    for slice in input.chunks(chunk.max(1)) {
+    // Ingests and drains one chunk, leaving the buffer empty for reuse.
+    let mut ingest = |buf: &mut Vec<PositionReport>| {
+        reports += buf.len() as u64;
         let start = Instant::now();
-        let outputs = layer.ingest_batch(slice.iter().copied());
+        let outputs = layer.ingest_batch(buf.drain(..));
         elapsed_ns += start.elapsed().as_nanos();
         let resident = layer.resident_entity_count();
         max_resident = max_resident.max(resident);
@@ -158,6 +164,17 @@ pub fn run_arm(
             triples += out.triples.len() as u64;
             layer.recycle(out);
         }
+    };
+    let chunk = chunk.max(1);
+    let mut buf = Vec::with_capacity(chunk);
+    generator.run(|report| {
+        buf.push(report);
+        if buf.len() == chunk {
+            ingest(&mut buf);
+        }
+    });
+    if !buf.is_empty() {
+        ingest(&mut buf);
     }
 
     digest.absorb(&layer.flush());
@@ -167,9 +184,9 @@ pub fn run_arm(
     ArmReport {
         label: if budget.is_some() { "budgeted" } else { "resident" },
         budget,
-        reports: input.len() as u64,
+        reports,
         elapsed_ns,
-        records_per_sec: input.len() as f64 / (elapsed as f64 / 1e9),
+        records_per_sec: reports as f64 / (elapsed as f64 / 1e9),
         digest: digest.finish(),
         accepted,
         dead_lettered,
@@ -184,15 +201,14 @@ pub fn run_arm(
     }
 }
 
-/// Executes a scenario: generates the input and runs one arm over it.
+/// Executes a scenario: one arm over the scenario's generated input.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     budget: Option<usize>,
     spill_dir: Option<PathBuf>,
     chunk: usize,
 ) -> ArmReport {
-    let input = ScenarioGenerator::new(spec.clone()).collect_reports();
-    run_arm(spec, &input, budget, spill_dir, chunk)
+    run_arm(spec, ScenarioGenerator::new(spec.clone()), budget, spill_dir, chunk)
 }
 
 #[cfg(test)]
@@ -220,9 +236,9 @@ budget = 20
         // The inline spec, and the committed smoke scenario CI runs.
         for text in [SPEC, include_str!("../../../scenarios/smoke.scenario")] {
             let spec = ScenarioSpec::parse(text).expect("spec parses");
-            let input = ScenarioGenerator::new(spec.clone()).collect_reports();
-            let budgeted = run_arm(&spec, &input, spec.budget, None, 173);
-            let resident = run_arm(&spec, &input, None, None, 173);
+            let budgeted =
+                run_arm(&spec, ScenarioGenerator::new(spec.clone()), spec.budget, None, 173);
+            let resident = run_arm(&spec, ScenarioGenerator::new(spec.clone()), None, None, 173);
             assert_eq!(budgeted.digest, resident.digest, "{budgeted:?}\nvs\n{resident:?}");
             assert!(budgeted.budget_respected, "max resident {}", budgeted.max_resident);
             assert!(budgeted.spill.evictions > 0, "{}: a budget below the fleet must evict", spec.name);
@@ -239,9 +255,8 @@ budget = 20
     #[test]
     fn chunk_size_does_not_change_the_digest() {
         let spec = ScenarioSpec::parse(SPEC).expect("spec parses");
-        let input = ScenarioGenerator::new(spec.clone()).collect_reports();
-        let a = run_arm(&spec, &input, spec.budget, None, 64);
-        let b = run_arm(&spec, &input, spec.budget, None, 4096);
+        let a = run_arm(&spec, ScenarioGenerator::new(spec.clone()), spec.budget, None, 64);
+        let b = run_arm(&spec, ScenarioGenerator::new(spec.clone()), spec.budget, None, 4096);
         assert_eq!(a.digest, b.digest);
     }
 
@@ -249,9 +264,14 @@ budget = 20
     fn directory_tier_matches_the_memory_tier() {
         let spec = ScenarioSpec::parse(SPEC).expect("spec parses");
         let dir = std::env::temp_dir().join(format!("datacron-cli-test-{}", std::process::id()));
-        let input = ScenarioGenerator::new(spec.clone()).collect_reports();
-        let mem = run_arm(&spec, &input, spec.budget, None, 173);
-        let disk = run_arm(&spec, &input, spec.budget, Some(dir.clone()), 173);
+        let mem = run_arm(&spec, ScenarioGenerator::new(spec.clone()), spec.budget, None, 173);
+        let disk = run_arm(
+            &spec,
+            ScenarioGenerator::new(spec.clone()),
+            spec.budget,
+            Some(dir.clone()),
+            173,
+        );
         assert_eq!(mem.digest, disk.digest);
         assert_eq!(disk.spill.disk_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);

@@ -37,10 +37,10 @@ use crate::system::DatacronSystem;
 use datacron_cep::WayebState;
 use datacron_durability::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use datacron_durability::{
-    decode_from_slice, decode_synopses_state_into, decode_vec_into, encode_to_vec,
-    CheckpointStore, DurabilityError, FsyncPolicy, RecoveryManager, WalConfig, WriteAheadLog,
+    decode_from_slice, encode_to_vec, CheckpointStore, DurabilityError, FsyncPolicy,
+    RecoveryManager, WalConfig, WriteAheadLog,
 };
-use datacron_geo::{PositionReport, Timestamp};
+use datacron_geo::{EntityId, GeoPoint, MovingKind, PositionReport, Timestamp};
 use datacron_obs::{LogHistogram, ObsRegistry};
 use datacron_stream::cleaning::CleaningOutcome;
 
@@ -378,23 +378,7 @@ pub struct SystemState {
 // --- codecs for the core-owned state types ------------------------------
 //
 // `Encode`/`Decode` impls for foreign types live in `datacron-durability`;
-// the impls here cover types this crate owns (orphan rule). `WayebState`
-// belongs to `datacron-cep`, which the durability crate does not depend
-// on, so its three counters are framed inline.
-
-fn put_wayeb(w: &mut ByteWriter, s: &WayebState) {
-    w.put_u64(s.dfa_state as u64);
-    w.put_u64(s.context as u64);
-    w.put_u64(s.consumed as u64);
-}
-
-fn get_wayeb(r: &mut ByteReader<'_>) -> Result<WayebState, CodecError> {
-    Ok(WayebState {
-        dfa_state: r.get_u64()? as usize,
-        context: r.get_u64()? as usize,
-        consumed: r.get_u64()? as usize,
-    })
-}
+// the impls here cover types this crate owns (orphan rule).
 
 impl Encode for RejectReason {
     fn encode(&self, w: &mut ByteWriter) {
@@ -436,18 +420,259 @@ impl Decode for DeadLetter {
     }
 }
 
+// --- the entity checkpoint format ---------------------------------------
+//
+// One format for every place an entity's state is written: spill blobs
+// (memory and directory tiers), `LayerState` checkpoints and re-sharding.
+// An entity's state is mostly position reports — the FLP history, the
+// synopses window and up to five single reports (the synopses' `last`,
+// stop and slow candidates and anchor, and the cleaner's `last`) — and
+// most of those are the same few reports. So each report is written once:
+//
+// * `history` comes first. The window is written as "the last k of
+//   history" when it is that, and each optional report as a
+//   back-reference into history when one matches; only the rest is
+//   written inline. Matches compare bit patterns, never `==`, which
+//   would equate `-0.0` with `0.0` and flip a sign on the way back.
+// * An inline report starts with a header byte: bit 0 marks a report of
+//   another entity (its id follows; otherwise the checkpoint's own id is
+//   implied), bits 1 and 2 mark `altitude_m` and `vertical_rate_mps` as
+//   present (absent means their bits are `+0.0`, as for every vessel),
+//   bit 3 marks the `ts` delta as whole seconds. Then `ts` as a zigzag
+//   varint delta (in seconds when bit 3 is set, else milliseconds) from
+//   the previous timestamp written, and the remaining floats as raw bits.
+// * Lengths, counters and the CEP run-state are varints; the four
+//   synopses flags and three presence bits share one byte.
+//
+// Layout: kind u8, id varint, flags u8, vertical regime u8; history
+// (varint n, n reports); window (varint `k << 1 | 1` for a history
+// suffix of k, `n << 1` then n reports); the synopses' `last`, stop and
+// slow candidates, anchor and the cleaner's `last` (varint 0 = none,
+// 1 = inline report, 2 + j = history[len - 1 - j]); the two emit times
+// when flagged (zigzag ts deltas); seen and emitted; the five cleaning
+// counters; the CEP state when flagged (three varints).
+
+const FLAG_STARTED: u8 = 1;
+const FLAG_IN_STOP: u8 = 1 << 1;
+const FLAG_IN_SLOW: u8 = 1 << 2;
+const FLAG_AIRBORNE: u8 = 1 << 3;
+const FLAG_HEADING_EMIT: u8 = 1 << 4;
+const FLAG_SPEED_EMIT: u8 = 1 << 5;
+const FLAG_CEP: u8 = 1 << 6;
+
+const REPORT_FOREIGN: u8 = 1;
+const REPORT_ALTITUDE: u8 = 1 << 1;
+const REPORT_VERTICAL: u8 = 1 << 2;
+const REPORT_WHOLE_SECONDS: u8 = 1 << 3;
+
+const REF_NONE: u64 = 0;
+const REF_INLINE: u64 = 1;
+const REF_HISTORY: u64 = 2;
+
+/// Bit-for-bit report equality: `-0.0` and `0.0` differ, a NaN equals
+/// itself only with the same payload.
+fn same_bits(a: &PositionReport, b: &PositionReport) -> bool {
+    a.entity == b.entity
+        && a.ts == b.ts
+        && a.point.lon.to_bits() == b.point.lon.to_bits()
+        && a.point.lat.to_bits() == b.point.lat.to_bits()
+        && a.altitude_m.to_bits() == b.altitude_m.to_bits()
+        && a.speed_mps.to_bits() == b.speed_mps.to_bits()
+        && a.heading_deg.to_bits() == b.heading_deg.to_bits()
+        && a.vertical_rate_mps.to_bits() == b.vertical_rate_mps.to_bits()
+}
+
+fn put_entity(w: &mut ByteWriter, e: EntityId) {
+    e.kind.encode(w);
+    w.put_varint(e.id);
+}
+
+fn get_entity(r: &mut ByteReader<'_>) -> Result<EntityId, CodecError> {
+    Ok(EntityId { kind: MovingKind::decode(r)?, id: r.get_varint()? })
+}
+
+fn get_usize(r: &mut ByteReader<'_>) -> Result<usize, CodecError> {
+    usize::try_from(r.get_varint()?).map_err(|_| CodecError::VarintOverflow)
+}
+
+/// The running context of one checkpoint's reports: the implied entity
+/// and the previous timestamp written (delta base).
+struct ReportCoder {
+    entity: EntityId,
+    prev_ts: i64,
+}
+
+impl ReportCoder {
+    fn new(entity: EntityId) -> Self {
+        Self { entity, prev_ts: 0 }
+    }
+
+    fn put_ts(&mut self, w: &mut ByteWriter, ts: Timestamp) {
+        w.put_zigzag(ts.0.wrapping_sub(self.prev_ts));
+        self.prev_ts = ts.0;
+    }
+
+    fn get_ts(&mut self, r: &mut ByteReader<'_>) -> Result<Timestamp, CodecError> {
+        self.prev_ts = self.prev_ts.wrapping_add(r.get_zigzag()?);
+        Ok(Timestamp(self.prev_ts))
+    }
+
+    fn put_report(&mut self, w: &mut ByteWriter, p: &PositionReport) {
+        let foreign = p.entity != self.entity;
+        let altitude = p.altitude_m.to_bits() != 0;
+        let vertical = p.vertical_rate_mps.to_bits() != 0;
+        let delta = p.ts.0.wrapping_sub(self.prev_ts);
+        let whole_seconds = delta % 1000 == 0;
+        w.put_u8(
+            if foreign { REPORT_FOREIGN } else { 0 }
+                | if altitude { REPORT_ALTITUDE } else { 0 }
+                | if vertical { REPORT_VERTICAL } else { 0 }
+                | if whole_seconds { REPORT_WHOLE_SECONDS } else { 0 },
+        );
+        if foreign {
+            put_entity(w, p.entity);
+        }
+        w.put_zigzag(if whole_seconds { delta / 1000 } else { delta });
+        self.prev_ts = p.ts.0;
+        w.put_f64(p.point.lon);
+        w.put_f64(p.point.lat);
+        w.put_f64(p.speed_mps);
+        w.put_f64(p.heading_deg);
+        if altitude {
+            w.put_f64(p.altitude_m);
+        }
+        if vertical {
+            w.put_f64(p.vertical_rate_mps);
+        }
+    }
+
+    fn get_report(&mut self, r: &mut ByteReader<'_>) -> Result<PositionReport, CodecError> {
+        let header = r.get_u8()?;
+        if header & !(REPORT_FOREIGN | REPORT_ALTITUDE | REPORT_VERTICAL | REPORT_WHOLE_SECONDS)
+            != 0
+        {
+            return Err(CodecError::InvalidTag(header));
+        }
+        let entity = if header & REPORT_FOREIGN != 0 { get_entity(r)? } else { self.entity };
+        let delta = r.get_zigzag()?;
+        let scale = if header & REPORT_WHOLE_SECONDS != 0 { 1000 } else { 1 };
+        self.prev_ts = self.prev_ts.wrapping_add(delta.wrapping_mul(scale));
+        let ts = Timestamp(self.prev_ts);
+        let lon = r.get_f64()?;
+        let lat = r.get_f64()?;
+        let speed_mps = r.get_f64()?;
+        let heading_deg = r.get_f64()?;
+        let optional = |r: &mut ByteReader<'_>, bit: u8| {
+            if header & bit != 0 {
+                r.get_f64()
+            } else {
+                Ok(0.0)
+            }
+        };
+        let altitude_m = optional(r, REPORT_ALTITUDE)?;
+        let vertical_rate_mps = optional(r, REPORT_VERTICAL)?;
+        Ok(PositionReport {
+            entity,
+            ts,
+            point: GeoPoint { lon, lat },
+            altitude_m,
+            speed_mps,
+            heading_deg,
+            vertical_rate_mps,
+        })
+    }
+
+    fn put_ref(
+        &mut self,
+        w: &mut ByteWriter,
+        history: &[PositionReport],
+        p: &Option<PositionReport>,
+    ) {
+        let Some(p) = p else {
+            return w.put_varint(REF_NONE);
+        };
+        match history.iter().rev().position(|h| same_bits(h, p)) {
+            Some(back) => w.put_varint(REF_HISTORY + back as u64),
+            None => {
+                w.put_varint(REF_INLINE);
+                self.put_report(w, p);
+            }
+        }
+    }
+
+    fn get_ref(
+        &mut self,
+        r: &mut ByteReader<'_>,
+        history: &[PositionReport],
+    ) -> Result<Option<PositionReport>, CodecError> {
+        Ok(match r.get_varint()? {
+            REF_NONE => None,
+            REF_INLINE => Some(self.get_report(r)?),
+            tag => {
+                let back = tag - REF_HISTORY;
+                if back >= history.len() as u64 {
+                    return Err(CodecError::BadReference);
+                }
+                Some(history[history.len() - 1 - back as usize])
+            }
+        })
+    }
+}
+
 impl Encode for EntityCheckpoint {
     fn encode(&self, w: &mut ByteWriter) {
-        self.entity.encode(w);
-        self.cleaner.encode(w);
-        self.synopses.encode(w);
-        self.history.encode(w);
-        match &self.cep {
-            None => w.put_u8(0),
-            Some(s) => {
-                w.put_u8(1);
-                put_wayeb(w, s);
+        let s = &self.synopses;
+        let mut flags = 0;
+        for (set, bit) in [
+            (s.started, FLAG_STARTED),
+            (s.in_stop, FLAG_IN_STOP),
+            (s.in_slow, FLAG_IN_SLOW),
+            (s.airborne, FLAG_AIRBORNE),
+            (s.last_heading_emit.is_some(), FLAG_HEADING_EMIT),
+            (s.last_speed_emit.is_some(), FLAG_SPEED_EMIT),
+            (self.cep.is_some(), FLAG_CEP),
+        ] {
+            if set {
+                flags |= bit;
             }
+        }
+        put_entity(w, self.entity);
+        w.put_u8(flags);
+        w.put_u8(s.vertical_regime as u8);
+
+        let mut coder = ReportCoder::new(self.entity);
+        let history = &self.history[..];
+        w.put_varint(history.len() as u64);
+        for p in history {
+            coder.put_report(w, p);
+        }
+        let k = s.window.len();
+        let suffix = k <= history.len()
+            && s.window.iter().zip(&history[history.len() - k..]).all(|(a, b)| same_bits(a, b));
+        if suffix {
+            w.put_varint((k as u64) << 1 | 1);
+        } else {
+            w.put_varint((k as u64) << 1);
+            for p in &s.window {
+                coder.put_report(w, p);
+            }
+        }
+        for p in [&s.last, &s.stop_candidate, &s.slow_candidate, &s.anchor, &self.cleaner.last] {
+            coder.put_ref(w, history, p);
+        }
+        for ts in [s.last_heading_emit, s.last_speed_emit].into_iter().flatten() {
+            coder.put_ts(w, ts);
+        }
+        w.put_varint(s.seen);
+        w.put_varint(s.emitted);
+        let c = &self.cleaner.stats;
+        for n in [c.accepted, c.implausible, c.duplicates, c.out_of_order, c.teleports] {
+            w.put_varint(n);
+        }
+        if let Some(cep) = &self.cep {
+            w.put_varint(cep.dfa_state as u64);
+            w.put_varint(cep.context as u64);
+            w.put_varint(cep.consumed as u64);
         }
     }
 }
@@ -467,14 +692,72 @@ impl EntityCheckpoint {
     /// recycled scratch value. On error, `self` is partially overwritten
     /// and must be treated as garbage.
     pub(crate) fn decode_into(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.entity = Decode::decode(r)?;
-        self.cleaner = Decode::decode(r)?;
-        decode_synopses_state_into(r, &mut self.synopses)?;
-        decode_vec_into(r, &mut self.history)?;
-        self.cep = match r.get_u8()? {
-            0 => None,
-            1 => Some(get_wayeb(r)?),
-            t => return Err(CodecError::InvalidTag(t)),
+        self.entity = get_entity(r)?;
+        let flags = r.get_u8()?;
+        if flags & 0x80 != 0 {
+            return Err(CodecError::InvalidTag(flags));
+        }
+        let s = &mut self.synopses;
+        s.started = flags & FLAG_STARTED != 0;
+        s.in_stop = flags & FLAG_IN_STOP != 0;
+        s.in_slow = flags & FLAG_IN_SLOW != 0;
+        s.airborne = flags & FLAG_AIRBORNE != 0;
+        s.vertical_regime = r.get_u8()? as i8;
+
+        let mut coder = ReportCoder::new(self.entity);
+        let n = r.get_varint_len()?;
+        self.history.clear();
+        self.history.reserve(n);
+        for _ in 0..n {
+            self.history.push(coder.get_report(r)?);
+        }
+        let history = &self.history[..];
+        let tag = r.get_varint()?;
+        s.window.clear();
+        if tag & 1 == 1 {
+            let k = tag >> 1;
+            if k > history.len() as u64 {
+                return Err(CodecError::BadReference);
+            }
+            s.window.extend_from_slice(&history[history.len() - k as usize..]);
+        } else {
+            let k = tag >> 1;
+            if k > r.remaining() as u64 {
+                return Err(CodecError::Truncated);
+            }
+            for _ in 0..k {
+                s.window.push(coder.get_report(r)?);
+            }
+        }
+        s.last = coder.get_ref(r, history)?;
+        s.stop_candidate = coder.get_ref(r, history)?;
+        s.slow_candidate = coder.get_ref(r, history)?;
+        s.anchor = coder.get_ref(r, history)?;
+        self.cleaner.last = coder.get_ref(r, history)?;
+        s.last_heading_emit =
+            if flags & FLAG_HEADING_EMIT != 0 { Some(coder.get_ts(r)?) } else { None };
+        s.last_speed_emit =
+            if flags & FLAG_SPEED_EMIT != 0 { Some(coder.get_ts(r)?) } else { None };
+        s.seen = r.get_varint()?;
+        s.emitted = r.get_varint()?;
+        let c = &mut self.cleaner.stats;
+        for n in [
+            &mut c.accepted,
+            &mut c.implausible,
+            &mut c.duplicates,
+            &mut c.out_of_order,
+            &mut c.teleports,
+        ] {
+            *n = r.get_varint()?;
+        }
+        self.cep = if flags & FLAG_CEP != 0 {
+            Some(WayebState {
+                dfa_state: get_usize(r)?,
+                context: get_usize(r)?,
+                consumed: get_usize(r)?,
+            })
+        } else {
+            None
         };
         Ok(())
     }
@@ -593,10 +876,12 @@ impl Decode for BatchState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use datacron_data::rng::SeededRng;
     use datacron_durability::TopicCheckpoint;
-    use datacron_geo::{EntityId, GeoPoint};
+    use datacron_stream::cleaning::{CleanerState, CleaningStats};
+    use datacron_synopses::SynopsesState;
 
     fn empty_topic<T>() -> TopicCheckpoint<T> {
         TopicCheckpoint {
@@ -604,6 +889,328 @@ mod tests {
             stats: Default::default(),
             retained: Vec::new(),
         }
+    }
+
+    // --- the entity checkpoint format ---
+
+    /// Float bit patterns `==` gets wrong or that must survive exactly:
+    /// both zeros, NaNs with payloads and either sign, infinities, a
+    /// subnormal, and ordinary values.
+    fn any_f64(rng: &mut SeededRng) -> f64 {
+        match rng.index(9) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(0x7ff8_0000_0000_0000 | rng.next_u64() & 0x0007_ffff_ffff_ffff),
+            3 => f64::from_bits(0xfff0_0000_0000_0001 | rng.next_u64() & 0x0007_ffff_ffff_ffff),
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            6 => f64::from_bits(1),
+            _ => rng.uniform(-400.0, 400.0),
+        }
+    }
+
+    fn any_ts(rng: &mut SeededRng) -> Timestamp {
+        Timestamp(match rng.index(6) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => rng.next_u64() as i64,
+            3 => 1_700_000_000_000 + 1000 * rng.int_range(-86_400, 86_400),
+            _ => 1_700_000_000_000 + rng.int_range(-86_400_000, 86_400_000),
+        })
+    }
+
+    fn any_entity(rng: &mut SeededRng) -> EntityId {
+        let id = match rng.index(3) {
+            0 => u64::MAX,
+            1 => rng.next_u64(),
+            _ => rng.index(1000) as u64,
+        };
+        if rng.chance(0.5) {
+            EntityId::vessel(id)
+        } else {
+            EntityId::aircraft(id)
+        }
+    }
+
+    /// A report of `own`, or now and then of another entity.
+    fn any_report(rng: &mut SeededRng, own: EntityId) -> PositionReport {
+        let vessel_like = rng.chance(0.5);
+        PositionReport {
+            entity: if rng.chance(0.1) { any_entity(rng) } else { own },
+            ts: any_ts(rng),
+            point: GeoPoint { lon: any_f64(rng), lat: any_f64(rng) },
+            altitude_m: if vessel_like { 0.0 } else { any_f64(rng) },
+            speed_mps: any_f64(rng),
+            heading_deg: any_f64(rng),
+            vertical_rate_mps: if vessel_like { 0.0 } else { any_f64(rng) },
+        }
+    }
+
+    /// `r` with its altitude's sign bit flipped: different in bits, and
+    /// equal under `==` when the altitude is a zero (every vessel's).
+    fn sign_twin(r: &PositionReport) -> PositionReport {
+        let mut t = *r;
+        t.altitude_m = f64::from_bits(t.altitude_m.to_bits() ^ (1 << 63));
+        t
+    }
+
+    /// Seeded arbitrary checkpoint. `case` cycles the window through its
+    /// three arms (history suffix, bit-twin of a suffix, unrelated reports)
+    /// and each optional report through its four (none, a history
+    /// report, a bit-twin of one, an unrelated report), so every arm is
+    /// covered whatever the seed.
+    pub(crate) fn arbitrary_checkpoint(rng: &mut SeededRng, case: usize) -> EntityCheckpoint {
+        let entity = any_entity(rng);
+        let n = if case.is_multiple_of(7) { 0 } else { rng.index(15) };
+        let history: Vec<PositionReport> = (0..n).map(|_| any_report(rng, entity)).collect();
+        let k = rng.index(n + 1);
+        let window = match case % 3 {
+            0 => history[n - k..].to_vec(),
+            1 if k > 0 => {
+                let mut w = history[n - k..].to_vec();
+                let i = rng.index(k);
+                w[i] = sign_twin(&w[i]);
+                w
+            }
+            _ => (0..rng.index(6)).map(|_| any_report(rng, entity)).collect(),
+        };
+        let mut field = 0;
+        let mut opt = |rng: &mut SeededRng| {
+            field += 1;
+            match (case + field) % 4 {
+                0 => None,
+                1 if n > 0 => Some(history[rng.index(n)]),
+                2 if n > 0 => Some(sign_twin(&history[rng.index(n)])),
+                _ => Some(any_report(rng, entity)),
+            }
+        };
+        let (last, stop_candidate, slow_candidate, anchor, cleaner_last) =
+            (opt(rng), opt(rng), opt(rng), opt(rng), opt(rng));
+        let count =
+            |rng: &mut SeededRng| if rng.chance(0.2) { u64::MAX } else { rng.index(5000) as u64 };
+        EntityCheckpoint {
+            entity,
+            cleaner: CleanerState {
+                last: cleaner_last,
+                stats: CleaningStats {
+                    accepted: count(rng),
+                    implausible: count(rng),
+                    duplicates: count(rng),
+                    out_of_order: count(rng),
+                    teleports: count(rng),
+                },
+            },
+            synopses: SynopsesState {
+                window,
+                last,
+                started: rng.chance(0.5),
+                stop_candidate,
+                in_stop: rng.chance(0.5),
+                slow_candidate,
+                in_slow: rng.chance(0.5),
+                airborne: rng.chance(0.5),
+                vertical_regime: rng.next_u64() as i8,
+                last_heading_emit: rng.chance(0.5).then(|| any_ts(rng)),
+                last_speed_emit: rng.chance(0.5).then(|| any_ts(rng)),
+                anchor,
+                seen: count(rng),
+                emitted: count(rng),
+            },
+            history,
+            cep: rng.chance(0.5).then(|| WayebState {
+                dfa_state: count(rng) as usize,
+                context: count(rng) as usize,
+                consumed: count(rng) as usize,
+            }),
+        }
+    }
+
+    fn report_bits(r: &PositionReport) -> String {
+        let f = [
+            r.point.lon,
+            r.point.lat,
+            r.altitude_m,
+            r.speed_mps,
+            r.heading_deg,
+            r.vertical_rate_mps,
+        ];
+        format!("{:?}@{}{:x?}", r.entity, r.ts.0, f.map(f64::to_bits))
+    }
+
+    /// Every report of `c` in bits (where `Debug` hides NaN payloads),
+    /// after the `Debug` of the whole checkpoint (every other field).
+    pub(crate) fn checkpoint_bits(c: &EntityCheckpoint) -> String {
+        let s = &c.synopses;
+        let singles = [&s.last, &s.stop_candidate, &s.slow_candidate, &s.anchor, &c.cleaner.last];
+        format!(
+            "{c:?}\n{:?}\n{:?}\n{:?}",
+            c.history.iter().map(report_bits).collect::<Vec<_>>(),
+            s.window.iter().map(report_bits).collect::<Vec<_>>(),
+            singles.map(|o| o.as_ref().map(report_bits)),
+        )
+    }
+
+    #[test]
+    fn entity_checkpoints_round_trip_bit_for_bit() {
+        let mut rng = SeededRng::new(0x0047_c0de);
+        let mut scratch = EntityCheckpoint::empty();
+        for case in 0..3000 {
+            let c = arbitrary_checkpoint(&mut rng, case);
+            let bytes = encode_to_vec(&c);
+            let back: EntityCheckpoint = decode_from_slice(&bytes).expect("a valid blob decodes");
+            assert_eq!(checkpoint_bits(&back), checkpoint_bits(&c), "case {case}");
+            // The recycled-scratch path agrees with the fresh one.
+            let mut r = ByteReader::new(&bytes);
+            scratch.decode_into(&mut r).expect("decode_into");
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(checkpoint_bits(&scratch), checkpoint_bits(&c), "case {case}, decode_into");
+            assert_eq!(encode_to_vec(&back), bytes, "case {case}: not canonical");
+        }
+    }
+
+    /// A vessel at sea: 12 reports 10 s apart, no altitude.
+    fn vessel_at_sea() -> EntityCheckpoint {
+        let entity = EntityId::vessel(244_670_123);
+        let history: Vec<PositionReport> = (0..12)
+            .map(|i| PositionReport {
+                speed_mps: 6.2 + 0.01 * i as f64,
+                heading_deg: 87.5 - 0.3 * i as f64,
+                ..PositionReport::basic(
+                    entity,
+                    Timestamp(1_700_000_000_000 + 10_000 * i),
+                    GeoPoint::new(23.61 + 0.0007 * i as f64, 37.94 + 0.0001 * i as f64),
+                )
+            })
+            .collect();
+        EntityCheckpoint {
+            entity,
+            cleaner: CleanerState {
+                last: history.last().copied(),
+                stats: CleaningStats {
+                    accepted: 612,
+                    implausible: 3,
+                    duplicates: 9,
+                    out_of_order: 4,
+                    teleports: 1,
+                },
+            },
+            synopses: SynopsesState {
+                window: history[4..].to_vec(),
+                last: history.last().copied(),
+                started: true,
+                stop_candidate: None,
+                in_stop: false,
+                slow_candidate: Some(history[2]),
+                in_slow: false,
+                airborne: false,
+                vertical_regime: 0,
+                last_heading_emit: Some(Timestamp(1_700_000_060_000)),
+                last_speed_emit: Some(Timestamp(1_699_999_500_000)),
+                anchor: Some(history[6]),
+                seen: 629,
+                emitted: 57,
+            },
+            history,
+            cep: Some(WayebState { dfa_state: 3, context: 17, consumed: 212 }),
+        }
+    }
+
+    #[test]
+    fn a_vessel_with_a_full_history_fits_in_480_bytes() {
+        let c = vessel_at_sea();
+        let bytes = encode_to_vec(&c);
+        // A report inline costs a header byte, its ts delta (one byte for
+        // 10 s) and 32 float bytes; the window and the four optional
+        // reports are references.
+        assert!(bytes.len() <= 480, "{} bytes", bytes.len());
+        let back: EntityCheckpoint = decode_from_slice(&bytes).unwrap();
+        assert_eq!(checkpoint_bits(&back), checkpoint_bits(&c));
+    }
+
+    /// Damaged variants of a valid blob: every strict prefix, then seeded
+    /// 1–4-byte mutations, then seeded arbitrary bytes.
+    pub(crate) fn damaged(valid: &[u8], rng: &mut SeededRng) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let prefixes = (0..valid.len()).map(|n| valid[..n].to_vec()).collect();
+        let mut other = Vec::new();
+        for _ in 0..400 {
+            let mut b = valid.to_vec();
+            for _ in 0..1 + rng.index(4) {
+                let at = rng.index(b.len());
+                b[at] = rng.next_u64() as u8;
+            }
+            other.push(b);
+        }
+        for _ in 0..400 {
+            let n = rng.index(2 * valid.len() + 1);
+            other.push((0..n).map(|_| rng.next_u64() as u8).collect());
+        }
+        (prefixes, other)
+    }
+
+    #[test]
+    fn entity_checkpoint_decoding_never_panics() {
+        let mut rng = SeededRng::new(0x0bad_b10b);
+        for case in 0..40 {
+            let c = arbitrary_checkpoint(&mut rng, case);
+            let valid = encode_to_vec(&c);
+            let (prefixes, other) = damaged(&valid, &mut rng);
+            for p in prefixes {
+                assert_eq!(
+                    decode_from_slice::<EntityCheckpoint>(&p).err(),
+                    Some(CodecError::Truncated)
+                );
+            }
+            for b in other {
+                // Ok (a mutation may land on a float) or a typed error.
+                let _ = decode_from_slice::<EntityCheckpoint>(&b);
+            }
+        }
+        // Handcrafted: vessel 1, no flags, level, empty history, then …
+        let head = [0u8, 1, 0, 0, 0];
+        let with = |tail: &[u8]| [&head[..], tail].concat();
+        // … a window said to be the last 1 of an empty history;
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&with(&[3])).err(),
+            Some(CodecError::BadReference)
+        );
+        // … an empty window, then `last` pointing one past the history;
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&with(&[1, 2])).err(),
+            Some(CodecError::BadReference)
+        );
+        let mut far = ByteWriter::new();
+        far.put_varint(1);
+        far.put_varint(u64::MAX);
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&with(far.as_bytes())).err(),
+            Some(CodecError::BadReference)
+        );
+        // … an inline window of 100 reports with nothing behind it.
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&with(&[200, 1])).err(),
+            Some(CodecError::Truncated)
+        );
+        // A history length beyond the remaining input.
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&[0, 1, 0, 0, 90, 0]).err(),
+            Some(CodecError::Truncated)
+        );
+        // An entity id varint of eleven bytes.
+        let mut long = vec![0u8];
+        long.extend([0xff; 11]);
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&long).err(),
+            Some(CodecError::VarintOverflow)
+        );
+        // The unused flag bit, and a report header bit beyond the four.
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&[0, 1, 0x80, 0]).err(),
+            Some(CodecError::InvalidTag(0x80))
+        );
+        assert_eq!(
+            decode_from_slice::<EntityCheckpoint>(&[0, 1, 0, 0, 1, 16]).err(),
+            Some(CodecError::InvalidTag(16))
+        );
     }
 
     #[test]

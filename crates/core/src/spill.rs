@@ -20,7 +20,11 @@
 //!   of live operator state, still O(fleet) but a fraction of the
 //!   resident footprint, and packed into a few large segments so a
 //!   million spilled entities do not fragment the general-purpose heap
-//!   the per-record pipeline allocates from.
+//!   the per-record pipeline allocates from. The bytes are the entity
+//!   checkpoint format (see `durable.rs`): each report written once,
+//!   with the window and single reports as references into the
+//!   history, so a vessel with a full 12-report history spills in
+//!   about 450 B.
 //! * **Directory tier** ([`DatacronConfig::spill_dir`](crate::DatacronConfig::spill_dir)):
 //!   the blob is written to one file per entity with the same atomic
 //!   tmp+rename pattern the checkpoint store uses, keeping RSS flat in
@@ -169,6 +173,12 @@ impl ClassSlab {
 /// million individually-boxed blobs resident). The slab keeps blob bytes
 /// out of the general heap entirely: size-classed fixed cells in 1 MiB
 /// segments, free-listed, never individually freed.
+///
+/// A cell never moves to another class, so each class keeps its own
+/// high-water mark: as a fleet's histories grow between its first and
+/// second pass, its blobs climb classes and leave the smaller classes'
+/// cells allocated and free. The slab therefore holds more than the live
+/// blob bytes, and smaller blobs shrink both.
 #[derive(Default)]
 struct BlobSlab {
     classes: Vec<Option<ClassSlab>>,
@@ -420,6 +430,9 @@ impl SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::tests::{arbitrary_checkpoint, damaged};
+    use datacron_data::rng::SeededRng;
+    use datacron_durability::encode_to_vec;
     use datacron_geo::{GeoPoint, PositionReport, Timestamp};
     use datacron_stream::cleaning::{CleaningConfig, StreamCleaner};
     use datacron_synopses::{SynopsesConfig, SynopsesGenerator};
@@ -491,6 +504,47 @@ mod tests {
         assert_eq!(store.stats().rehydrate_failures, 1);
         assert!(!store.contains(EntityId::vessel(9)), "slot reclaimed either way");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Replaces `entity`'s memory-tier blob with `blob`, keeping the
+    /// store's byte accounting whole.
+    fn plant(store: &mut SpillStore, entity: EntityId, blob: &[u8]) {
+        if let Some(old) = store.slots.remove(&entity) {
+            store.bytes -= old.bytes();
+            if let Slot::Mem(r) = old {
+                store.slab.release(r);
+            }
+        }
+        store.slots.insert(entity, Slot::Mem(store.slab.store(blob)));
+        store.bytes += blob.len() as u64;
+    }
+
+    #[test]
+    fn corrupted_memory_tier_blobs_are_counted_failures_never_panics() {
+        let mut rng = SeededRng::new(0x5b111);
+        let mut store = SpillStore::new(None);
+        let mut out = EntityCheckpoint::empty();
+        let mut cases = 0;
+        for case in 0..12 {
+            let c = arbitrary_checkpoint(&mut rng, case);
+            let (prefixes, other) = damaged(&encode_to_vec(&c), &mut rng);
+            for blob in &prefixes {
+                plant(&mut store, c.entity, blob);
+                let failures = store.stats().rehydrate_failures;
+                assert!(!store.take_into(c.entity, &mut out), "a strict prefix decoded");
+                assert_eq!(store.stats().rehydrate_failures, failures + 1);
+            }
+            for blob in &other {
+                plant(&mut store, c.entity, blob);
+                // Decoded (a mutation may land on a float) or counted.
+                let _ = store.take_into(c.entity, &mut out);
+                assert!(!store.contains(c.entity), "the slot is reclaimed either way");
+            }
+            cases += prefixes.len() + other.len();
+        }
+        let s = store.stats();
+        assert_eq!((s.rehydrations + s.rehydrate_failures) as usize, cases);
+        assert_eq!((store.len(), store.bytes()), (0, 0));
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! * `Option<T>` is a 1-byte presence tag (0/1) followed by the value;
 //! * sequences are a `u64` length followed by the items;
 //! * strings are a `u64` byte length followed by UTF-8 bytes;
-//! * enums are a 1-byte variant tag in declaration order.
+//! * enums are a 1-byte variant tag in declaration order;
+//! * varints ([`ByteWriter::put_varint`]) are LEB128, 1–10 bytes, and
+//!   signed values ride on them zigzag-mapped. Formats built for size
+//!   (the core crate's entity checkpoint) use them; the fixed-width
+//!   conventions above are the default.
 //!
 //! Decoding never panics: every malformed input maps to a [`CodecError`].
 
@@ -21,9 +25,7 @@ use datacron_linkdisc::links::LinkTarget;
 use datacron_linkdisc::{Link, LinkStats, Relation};
 use datacron_rdf::{Literal, Term, Triple};
 use datacron_stream::bus::TopicStats;
-use datacron_stream::cleaning::{CleanerState, CleaningStats};
 use datacron_stream::{AreaEvent, AreaEventKind, CleaningOutcome};
-use datacron_synopses::generator::SynopsesState;
 use datacron_synopses::{CriticalKind, CriticalPoint};
 
 /// A malformed encoding.
@@ -37,6 +39,10 @@ pub enum CodecError {
     InvalidUtf8,
     /// Bytes remained after the value was fully decoded.
     TrailingBytes,
+    /// A varint ran past 10 bytes or past 64 bits.
+    VarintOverflow,
+    /// A back-reference pointed outside the values it may refer to.
+    BadReference,
 }
 
 impl std::fmt::Display for CodecError {
@@ -46,6 +52,8 @@ impl std::fmt::Display for CodecError {
             CodecError::InvalidTag(t) => write!(f, "invalid enum tag {t}"),
             CodecError::InvalidUtf8 => write!(f, "invalid UTF-8 in string field"),
             CodecError::TrailingBytes => write!(f, "trailing bytes after value"),
+            CodecError::VarintOverflow => write!(f, "varint longer than 64 bits"),
+            CodecError::BadReference => write!(f, "back-reference out of range"),
         }
     }
 }
@@ -102,6 +110,22 @@ impl ByteWriter {
     /// Writes an `f64` as its bit pattern (NaN-exact).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Writes a `u64` as a LEB128 varint: 7 bits a byte, low bits first,
+    /// so values below 128 take one byte and `u64::MAX` takes ten.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Writes an `i64` zigzag-mapped (0, -1, 1, -2, … → 0, 1, 2, 3, …) as a
+    /// varint, so small magnitudes of either sign stay short.
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// Writes a bool as one byte.
@@ -173,6 +197,39 @@ impl<'a> ByteReader<'a> {
     /// Reads an `f64` from its bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
+    }
+
+    /// Reads a LEB128 varint. More than ten bytes, or a tenth byte that
+    /// carries bits beyond the 64th, is [`CodecError::VarintOverflow`].
+    pub fn get_varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.get_u8()?;
+            if shift == 63 && b > 1 {
+                return Err(CodecError::VarintOverflow);
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(CodecError::VarintOverflow)
+    }
+
+    /// Reads a zigzag-mapped `i64` (see [`ByteWriter::put_zigzag`]).
+    pub fn get_zigzag(&mut self) -> Result<i64, CodecError> {
+        let u = self.get_varint()?;
+        Ok((u >> 1) as i64 ^ -((u & 1) as i64))
+    }
+
+    /// Reads a varint sequence length, bounds-checked against the
+    /// remaining input like [`get_len`](Self::get_len).
+    pub fn get_varint_len(&mut self) -> Result<usize, CodecError> {
+        let len = self.get_varint()?;
+        if len > self.remaining() as u64 {
+            return Err(CodecError::Truncated);
+        }
+        Ok(len as usize)
     }
 
     /// Reads a bool; any byte other than 0/1 is an invalid tag.
@@ -249,48 +306,6 @@ pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
     let value = T::decode(&mut r)?;
     r.finish()?;
     Ok(value)
-}
-
-/// Decodes a length-prefixed sequence into `out`, replacing its contents
-/// but keeping its allocation — the hot-path counterpart of
-/// `Vec::<T>::decode` for callers that recycle decode targets. On error,
-/// `out` holds the prefix decoded so far; callers must treat it as
-/// garbage.
-pub fn decode_vec_into<T: Decode>(
-    r: &mut ByteReader<'_>,
-    out: &mut Vec<T>,
-) -> Result<(), CodecError> {
-    let len = r.get_len()?;
-    out.clear();
-    out.reserve(len.min(r.remaining()));
-    for _ in 0..len {
-        out.push(T::decode(r)?);
-    }
-    Ok(())
-}
-
-/// Decodes a [`SynopsesState`] into `out`, reusing its window allocation
-/// (same wire format as the `Decode` impl). On error, `out` is partially
-/// overwritten and must be treated as garbage.
-pub fn decode_synopses_state_into(
-    r: &mut ByteReader<'_>,
-    out: &mut SynopsesState,
-) -> Result<(), CodecError> {
-    decode_vec_into(r, &mut out.window)?;
-    out.last = Decode::decode(r)?;
-    out.started = r.get_bool()?;
-    out.stop_candidate = Decode::decode(r)?;
-    out.in_stop = r.get_bool()?;
-    out.slow_candidate = Decode::decode(r)?;
-    out.in_slow = r.get_bool()?;
-    out.airborne = r.get_bool()?;
-    out.vertical_regime = r.get_u8()? as i8;
-    out.last_heading_emit = Decode::decode(r)?;
-    out.last_speed_emit = Decode::decode(r)?;
-    out.anchor = Decode::decode(r)?;
-    out.seen = r.get_u64()?;
-    out.emitted = r.get_u64()?;
-    Ok(())
 }
 
 // --- primitives ---
@@ -500,44 +515,6 @@ impl Decode for CleaningOutcome {
     }
 }
 
-impl Encode for CleaningStats {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.accepted);
-        w.put_u64(self.implausible);
-        w.put_u64(self.duplicates);
-        w.put_u64(self.out_of_order);
-        w.put_u64(self.teleports);
-    }
-}
-
-impl Decode for CleaningStats {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(CleaningStats {
-            accepted: r.get_u64()?,
-            implausible: r.get_u64()?,
-            duplicates: r.get_u64()?,
-            out_of_order: r.get_u64()?,
-            teleports: r.get_u64()?,
-        })
-    }
-}
-
-impl Encode for CleanerState {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.last.encode(w);
-        self.stats.encode(w);
-    }
-}
-
-impl Decode for CleanerState {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(CleanerState {
-            last: Option::<PositionReport>::decode(r)?,
-            stats: CleaningStats::decode(r)?,
-        })
-    }
-}
-
 impl Encode for TopicStats {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.published);
@@ -672,48 +649,6 @@ impl Decode for CriticalPoint {
         let report = PositionReport::decode(r)?;
         let kind = CriticalKind::decode(r)?;
         Ok(CriticalPoint { report, kind })
-    }
-}
-
-impl Encode for SynopsesState {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.window.encode(w);
-        self.last.encode(w);
-        w.put_bool(self.started);
-        self.stop_candidate.encode(w);
-        w.put_bool(self.in_stop);
-        self.slow_candidate.encode(w);
-        w.put_bool(self.in_slow);
-        w.put_bool(self.airborne);
-        w.put_u8(self.vertical_regime as u8);
-        self.last_heading_emit.encode(w);
-        self.last_speed_emit.encode(w);
-        self.anchor.encode(w);
-        w.put_u64(self.seen);
-        w.put_u64(self.emitted);
-    }
-}
-
-impl Decode for SynopsesState {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut out = SynopsesState {
-            window: Vec::new(),
-            last: None,
-            started: false,
-            stop_candidate: None,
-            in_stop: false,
-            slow_candidate: None,
-            in_slow: false,
-            airborne: false,
-            vertical_regime: 0,
-            last_heading_emit: None,
-            last_speed_emit: None,
-            anchor: None,
-            seen: 0,
-            emitted: 0,
-        };
-        decode_synopses_state_into(r, &mut out)?;
-        Ok(out)
     }
 }
 
@@ -1055,6 +990,43 @@ mod tests {
             retained: vec![sample_report(1, 10), sample_report(2, 20)],
         };
         assert_eq!(roundtrip(&ck), ck);
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_and_reject_overlong_input() {
+        let mut w = ByteWriter::new();
+        let unsigned = [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX];
+        let signed = [0, -1, 1, -64, 64, i64::MIN, i64::MAX];
+        for v in unsigned {
+            w.put_varint(v);
+        }
+        for v in signed {
+            w.put_zigzag(v);
+        }
+        let mut r = ByteReader::new(w.as_bytes());
+        for v in unsigned {
+            assert_eq!(r.get_varint(), Ok(v));
+        }
+        for v in signed {
+            assert_eq!(r.get_zigzag(), Ok(v));
+        }
+        assert_eq!(r.finish(), Ok(()));
+        assert_eq!(encode_varint(u64::MAX).len(), 10);
+        assert_eq!(encode_varint(127).len(), 1);
+        // Eleven continuation bytes, and a tenth byte past the 64th bit.
+        assert_eq!(ByteReader::new(&[0xff; 11]).get_varint(), Err(CodecError::VarintOverflow));
+        let mut past = vec![0xff; 9];
+        past.push(0x02);
+        assert_eq!(ByteReader::new(&past).get_varint(), Err(CodecError::VarintOverflow));
+        assert_eq!(ByteReader::new(&[0x80, 0x80]).get_varint(), Err(CodecError::Truncated));
+        // A varint length beyond the remaining input fails before allocating.
+        assert_eq!(ByteReader::new(&encode_varint(5)).get_varint_len(), Err(CodecError::Truncated));
+    }
+
+    fn encode_varint(v: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_varint(v);
+        w.into_bytes()
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub mod wal;
 
 pub use checkpoint::CheckpointStore;
 pub use codec::{
-    decode_from_slice, decode_synopses_state_into, decode_vec_into, encode_into, encode_to_vec,
-    ByteReader, ByteWriter, CodecError, Decode, Encode, TopicCheckpoint,
+    decode_from_slice, encode_into, encode_to_vec, ByteReader, ByteWriter, CodecError, Decode, Encode, TopicCheckpoint,
 };
 pub use framing::{encode_frame, encode_frame_into, parse_frame, Frame, FrameParse, FRAME_HEADER};
 pub use recovery::{RecoveryManager, RecoveryOutcome};
